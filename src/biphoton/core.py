@@ -41,9 +41,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 #: Tolerance on the state normalization invariant.
 NORMALIZATION_TOL = 1e-9
 
-#: Default tolerance for physical-equality comparisons.
-PHYSICAL_TOL = 1e-6
-
 #: Default number of grid points.
 DEFAULT_GRID_POINTS = 256
 
@@ -108,6 +105,12 @@ class JointAmplitude:
 
     Values are immutable after construction.  The squared norm (2D
     trapezoid of |F|^2) must be finite.
+
+    The constructor takes ownership of a C-contiguous complex128 array
+    that owns its data: it stores that array without copying and marks it
+    read-only, so the caller's array is frozen too (views the caller took
+    of it earlier stay writable).  Any other input (a view, a transpose,
+    another dtype) is copied first.
     """
 
     grid: FrequencyGrid
@@ -120,11 +123,7 @@ class JointAmplitude:
             raise ValueError(
                 f"values shape {values.shape} does not match grid with {n} points"
             )
-        if (
-            values is self.values
-            or not values.flags.owndata
-            or not values.flags.c_contiguous
-        ):
+        if not values.flags.owndata or not values.flags.c_contiguous:
             values = np.array(values, order="C")
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("amplitude values must be finite")

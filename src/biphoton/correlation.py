@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointAmplitude, TwoPhotonState, inner_product, norm_squared
+from .core import JointAmplitude, TwoPhotonState, _weights_2d, inner_product, norm_squared
 
 #: Analyzer angles (a, a', b, b') maximizing S for a singlet-type state.
 DEFAULT_CHSH_ANGLES: tuple[float, float, float, float] = (
@@ -49,8 +49,7 @@ def rc_integrated(state: TwoPhotonState, theta1: float, theta2: float) -> float:
         math.cos(theta1) * math.sin(theta2) * v1
         + math.sin(theta1) * math.cos(theta2) * v2_path_order
     )
-    w = state.grid.trapezoid_weights()
-    w2d = w[:, None] * w[None, :]
+    w2d = _weights_2d(state.grid)
     total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
     if total <= 0.0:
         raise ValueError("state has zero norm")

@@ -20,6 +20,7 @@ from .core import (
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
+    _weights_2d,
     normalize,
     wavelength_to_angular_frequency,
 )
@@ -213,8 +214,7 @@ def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
     condition holds identically on the grid regardless of the envelope.
     """
     # State norm is 0.5 (|f1|^2 + |f2|^2) = |envelope|^2 here.
-    w = envelope.grid.trapezoid_weights()
-    total = float(np.sum(np.outer(w, w) * np.abs(envelope.values) ** 2))
+    total = float(np.sum(_weights_2d(envelope.grid) * np.abs(envelope.values) ** 2))
     if total <= 0.0:
         raise ValueError("envelope must be nonzero")
     f1 = envelope.values / math.sqrt(total)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamsplitter import coincidence_probability
-from .core import TwoPhotonState, require_normalized
+from .core import TwoPhotonState, _weights_2d, require_normalized
 from .correlation import DEFAULT_CHSH_ANGLES, chsh, fringe_visibility_45
 
 #: Residuals below this are treated as exact symmetry.
@@ -37,8 +37,7 @@ def as_residual(state: TwoPhotonState) -> float:
     the condition for a full-height coincidence peak.
     """
     require_normalized(state)
-    w = state.grid.trapezoid_weights()
-    w2d = w[:, None] * w[None, :]
+    w2d = _weights_2d(state.grid)
     summed = state.f_h1v2.values + state.f_v1h2.values
     return 0.25 * float(np.sum(w2d * np.abs(summed) ** 2))
 
@@ -54,8 +53,7 @@ def bell_residual(state: TwoPhotonState) -> float:
     spectrally orthogonal, 2 for the plus-sign counterpart.
     """
     require_normalized(state)
-    w = state.grid.trapezoid_weights()
-    w2d = w[:, None] * w[None, :]
+    w2d = _weights_2d(state.grid)
     summed = state.f_h1v2.values + state.f_v1h2.values.T
     return 0.5 * float(np.sum(w2d * np.abs(summed) ** 2))
 

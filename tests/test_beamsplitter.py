@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from biphoton import (
@@ -26,6 +28,7 @@ from biphoton import (
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
+from biphoton.cli import list_presets, load_config
 
 CENTER = wavelength_to_angular_frequency(780e-9)
 
@@ -230,6 +233,45 @@ def test_delay_scan_visibility_tracks_mode_overlap(minus_state):
     axis = np.linspace(-12.0 * tau_c, 12.0 * tau_c, 121)
     curve = delay_scan(state, axis, mode_overlap=0.75)
     assert curve.visibility == pytest.approx(0.75, abs=2e-3)
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="mode_overlap"):
+            delay_scan(state, axis, mode_overlap=bad)
+
+
+def _assert_scan_matches_direct_rates(state, axis, mode_overlap):
+    # the closed-form scan against one direct N^2 pass per delay
+    curve = delay_scan(state, axis, mode_overlap=mode_overlap)
+    direct = [
+        coincidence_probability(state, float(d), mode_overlap=mode_overlap)
+        for d in np.sort(axis)
+    ]
+    np.testing.assert_allclose(curve.rates, direct, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_delay_scan_matches_per_delay_coincidence_on_presets(preset, n_points):
+    config = load_config(preset)
+    state = config.build_state(n_points)
+    axis = np.random.default_rng(n_points).permutation(config.scan.delays())
+    for mode_overlap in (1.0, 0.75):
+        _assert_scan_matches_direct_rates(state, axis, mode_overlap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=3, max_value=16),
+    mode_overlap=st.sampled_from([1.0, 0.75]),
+)
+def test_delay_scan_matches_per_delay_coincidence_on_random_states(
+    seed, n_points, mode_overlap
+):
+    rng = np.random.default_rng(seed)
+    state = support.make_random_state(rng, n_points=n_points)
+    tau_c = coherence_time(state)
+    axis = rng.permutation(np.linspace(-12.0 * tau_c, 12.0 * tau_c, 41))
+    _assert_scan_matches_direct_rates(state, axis, mode_overlap)
 
 
 def test_delay_scan_locates_an_arm2_offset():

@@ -103,6 +103,21 @@ def test_joint_amplitude_accepts_transposed_views():
     base = np.arange(64, dtype=np.float64).reshape(8, 8) + 0.5j
     amp = JointAmplitude(grid, base.T)
     np.testing.assert_array_equal(amp.values, base.T)
+    assert not np.shares_memory(amp.values, base)
+    assert base.flags.writeable
+
+    # an owned C-contiguous complex128 array is taken over and frozen
+    owned = np.arange(64, dtype=np.float64).reshape(8, 8) + 0.5j
+    amp = JointAmplitude(grid, owned)
+    assert np.shares_memory(amp.values, owned)
+    assert not owned.flags.writeable
+
+    # any other dtype is converted into a fresh array
+    real = np.arange(64, dtype=np.float64).reshape(8, 8)
+    amp = JointAmplitude(grid, real)
+    np.testing.assert_array_equal(amp.values, real)
+    assert not np.shares_memory(amp.values, real)
+    assert real.flags.writeable
 
 
 @settings(max_examples=25, deadline=None)
