@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -135,6 +134,14 @@ class JointAmplitude:
         return JointAmplitude(self.grid, self.values.T.copy())
 
 
+def _weighted_inner(w2d: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
+    return complex(np.sum(w2d * np.conj(a) * b))
+
+
+def _weighted_norm(w2d: np.ndarray, a: np.ndarray) -> float:
+    return float(np.sum(w2d * np.abs(a) ** 2))
+
+
 def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
     """Trapezoidal quadrature of the L2 inner product <a, b>.
 
@@ -144,12 +151,12 @@ def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
     """
     if a.grid != b.grid:
         raise ValueError("amplitudes live on different grids")
-    return complex(np.sum(_weights_2d(a.grid) * np.conj(a.values) * b.values))
+    return _weighted_inner(_weights_2d(a.grid), a.values, b.values)
 
 
 def norm_squared(a: JointAmplitude) -> float:
     """Trapezoidal quadrature of ||a||^2 = integral of |a|^2."""
-    return float(np.sum(_weights_2d(a.grid) * np.abs(a.values) ** 2))
+    return _weighted_norm(_weights_2d(a.grid), a.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,16 +169,11 @@ class TwoPhotonState:
             f_h1v2(w_H, w_V) |H_1(w_H)> |V_2(w_V)>
           + f_v1h2(w_H, w_V) |V_1(w_V)> |H_2(w_H)> ]
 
-    so in ``f_v1h2`` the first argument w_H is carried by the path-2
-    photon.  Normalized states satisfy
+    Both amplitudes take (w_H, w_V); in ``f_v1h2`` the H photon travels
+    path 2, so its first argument belongs to the path-2 photon.
+    Normalized states satisfy
     (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1 within NORMALIZATION_TOL.
     """
-
-    #: Fixes how f_v1h2's arguments map onto the two photons.
-    argument_convention: ClassVar[str] = (
-        "both amplitudes take (omega_H, omega_V); in f_v1h2 the H photon "
-        "travels path 2, so the first argument belongs to the path-2 photon"
-    )
 
     f_h1v2: JointAmplitude
     f_v1h2: JointAmplitude
@@ -209,11 +211,63 @@ def is_normalized(state: TwoPhotonState, tol: float = NORMALIZATION_TOL) -> bool
 
 
 def require_normalized(state: TwoPhotonState, tol: float = NORMALIZATION_TOL) -> None:
-    total = state.norm_squared()
+    _require_unit_norm(state.norm_squared(), tol)
+
+
+def _require_unit_norm(total: float, tol: float) -> None:
     if abs(total - 1.0) > tol:
         raise ValueError(
             f"state is not normalized: (1/2)(||f1||^2 + ||f2||^2) = {total!r}"
         )
+
+
+@dataclass(frozen=True)
+class StateReductions:
+    """Quadratures of F1 = f_h1v2 and F2 = f_v1h2 on the state's grid.
+
+    ``swap F2`` is F2 in path order (first argument the path-1 photon's
+    frequency).  Every polarization and symmetry observable is a closed-form
+    function of these numbers:
+
+    * n1, n2 -- ||F1||^2 and ||F2||^2, exactly as ``norm_squared`` computes them,
+    * overlap -- <F1, F2>, the exchange overlap behind the coincidence rate,
+    * path_overlap -- <F1, swap F2>, the overlap behind the polarization
+      correlations,
+    * plus_norm -- ||F1 + F2||^2 and path_plus_norm -- ||F1 + swap F2||^2,
+      summed directly rather than expanded, so that an exactly
+      antisymmetric pair gives exactly zero.
+    """
+
+    n1: float
+    n2: float
+    overlap: complex
+    path_overlap: complex
+    plus_norm: float
+    path_plus_norm: float
+
+    def require_normalized(self) -> None:
+        """Raise like ``require_normalized`` on the state these came from."""
+        _require_unit_norm(0.5 * (self.n1 + self.n2), NORMALIZATION_TOL)
+
+
+def reductions(state: TwoPhotonState) -> StateReductions:
+    """All quadratures in ``StateReductions``, from one set of 2D weights.
+
+    The sums are taken one at a time, so the transient memory stays at a
+    few N x N arrays.
+    """
+    w2d = _weights_2d(state.grid)
+    f1 = state.f_h1v2.values
+    f2 = state.f_v1h2.values
+    f2_path = np.ascontiguousarray(f2.T)
+    return StateReductions(
+        n1=_weighted_norm(w2d, f1),
+        n2=_weighted_norm(w2d, f2),
+        overlap=_weighted_inner(w2d, f1, f2),
+        path_overlap=_weighted_inner(w2d, f1, f2_path),
+        plus_norm=_weighted_norm(w2d, f1 + f2),
+        path_plus_norm=_weighted_norm(w2d, f1 + f2_path),
+    )
 
 
 @dataclass(frozen=True)

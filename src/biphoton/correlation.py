@@ -7,6 +7,20 @@ varies as sin^2(theta1 - theta2) exactly when the spectra are correlated
 with path (f_v1h2 = -swap(f_h1v2)); the machinery below measures how far
 a given state is from that behavior, from fitted fringe visibilities up
 to the CHSH S value.
+
+Every observable here is a closed-form function of the quadratures in
+``core.StateReductions`` of F1 = f_h1v2 and F2 = f_v1h2: the norms n1 and
+n2 and the path-ordered overlap <F1, swap F2>.  With
+a = cos t1 sin t2 and b = sin t1 cos t2,
+
+    R(t1, t2) = (a^2 n1 + b^2 n2 + 2 a b Re<F1, swap F2>) / (n1 + n2)
+    E(alpha, beta) = -cos 2alpha cos 2beta
+                     + (2 Re<F1, swap F2> / (n1 + n2)) sin 2alpha sin 2beta
+    V45 = 2 |<F1, swap F2>| / (n1 + n2)
+
+E is what the four-rate combination reduces to.  Each public function
+takes one reductions pass over the grid per state, whatever the number
+of angles it evaluates.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointAmplitude, TwoPhotonState, _weights_2d, inner_product, norm_squared
+from .core import StateReductions, TwoPhotonState, reductions
 
 #: Analyzer angles (a, a', b, b') maximizing S for a singlet-type state.
 DEFAULT_CHSH_ANGLES: tuple[float, float, float, float] = (
@@ -42,18 +56,21 @@ def rc_integrated(state: TwoPhotonState, theta1: float, theta2: float) -> float:
     an H photon, sin for a V photon, arm 1 angle on the path-1 photon.
     N = n1 + n2 normalizes the complete analyzer basis: the four outcomes
     (t1, t2), (t1, t2+pi/2), (t1+pi/2, t2), (t1+pi/2, t2+pi/2) sum to 1.
+    Expanding the square gives the closed form in the module docstring.
     """
-    v1 = state.f_h1v2.values
-    v2_path_order = state.f_v1h2.values.T
-    amp = (
-        math.cos(theta1) * math.sin(theta2) * v1
-        + math.sin(theta1) * math.cos(theta2) * v2_path_order
-    )
-    w2d = _weights_2d(state.grid)
-    total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
+    return _rate(reductions(state), theta1, theta2)
+
+
+def _rate(red: StateReductions, theta1: float, theta2: float) -> float:
+    for theta in (theta1, theta2):
+        if not math.isfinite(theta):
+            raise ValueError(f"analyzer angle must be finite, got {theta!r}")
+    total = red.n1 + red.n2
     if total <= 0.0:
         raise ValueError("state has zero norm")
-    return float(np.sum(w2d * np.abs(amp) ** 2)) / total
+    a = math.cos(theta1) * math.sin(theta2)
+    b = math.sin(theta1) * math.cos(theta2)
+    return (a * a * red.n1 + b * b * red.n2 + 2.0 * a * b * red.path_overlap.real) / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +125,8 @@ def correlation_scan(state: TwoPhotonState, theta1: float, theta2s) -> Correlati
             f"{angles.max() - angles.min():.6f}"
         )
     angles = np.sort(angles)
-    rates = np.array([rc_integrated(state, theta1, float(t)) for t in angles])
+    red = reductions(state)
+    rates = np.array([_rate(red, theta1, float(t)) for t in angles])
     design = np.column_stack(
         [np.ones_like(angles), np.cos(2.0 * angles), np.sin(2.0 * angles)]
     )
@@ -150,11 +168,15 @@ def correlation_E(state: TwoPhotonState, alpha: float, beta: float) -> float:
 
         E = (R++ - R+- - R-+ + R--) / (R++ + R+- + R-+ + R--).
     """
+    return _correlation(reductions(state), alpha, beta)
+
+
+def _correlation(red: StateReductions, alpha: float, beta: float) -> float:
     half_pi = 0.5 * math.pi
-    r_pp = rc_integrated(state, alpha, beta)
-    r_pm = rc_integrated(state, alpha, beta + half_pi)
-    r_mp = rc_integrated(state, alpha + half_pi, beta)
-    r_mm = rc_integrated(state, alpha + half_pi, beta + half_pi)
+    r_pp = _rate(red, alpha, beta)
+    r_pm = _rate(red, alpha, beta + half_pi)
+    r_mp = _rate(red, alpha + half_pi, beta)
+    r_mm = _rate(red, alpha + half_pi, beta + half_pi)
     total = r_pp + r_pm + r_mp + r_mm
     if total <= 0.0:
         raise ValueError("all four analyzer rates vanish")
@@ -170,12 +192,16 @@ def chsh(
     S <= 2 for any local-realistic model; a singlet-type state reaches
     2 sqrt(2) at the default angles (0, pi/4, pi/8, 3pi/8).
     """
+    return _chsh(reductions(state), angles)
+
+
+def _chsh(red: StateReductions, angles: tuple[float, float, float, float]) -> float:
     a, a_prime, b, b_prime = (float(x) for x in angles)
     return abs(
-        correlation_E(state, a, b)
-        - correlation_E(state, a, b_prime)
-        + correlation_E(state, a_prime, b)
-        + correlation_E(state, a_prime, b_prime)
+        _correlation(red, a, b)
+        - _correlation(red, a, b_prime)
+        + _correlation(red, a_prime, b)
+        + _correlation(red, a_prime, b_prime)
     )
 
 
@@ -191,11 +217,11 @@ def fringe_visibility_45(state: TwoPhotonState) -> float:
     are spectrally distinguishable (for example by a large polarization
     walk-off), whatever the coincidence peak looks like.
     """
-    total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
+    return _visibility_45(reductions(state))
+
+
+def _visibility_45(red: StateReductions) -> float:
+    total = red.n1 + red.n2
     if total <= 0.0:
         raise ValueError("state has zero norm")
-    overlap = inner_product(
-        state.f_h1v2,
-        JointAmplitude(state.grid, state.f_v1h2.values.T),
-    )
-    return 2.0 * abs(overlap) / total
+    return 2.0 * abs(red.path_overlap) / total

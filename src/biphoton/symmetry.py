@@ -7,6 +7,16 @@ sin^2 polarization correlations need them correlated with path
 symmetric envelopes, so a state can carry either one without the other;
 the residuals below measure each violation as a probability, and classify
 labels the four possible combinations.
+
+Everything here reads the quadratures in ``core.StateReductions`` of
+F1 = f_h1v2 and F2 = f_v1h2:
+
+    as_residual = (1/4) ||F1 + F2||^2
+    bell_residual = (1/2) ||F1 + swap F2||^2
+    P_cc(0) = (n1 + n2)/4 - (1/2) Re<F1, F2>
+
+and ``classify`` builds its whole report, CHSH S and the 45-degree
+visibility included, from one reductions pass over the grid.
 """
 
 from __future__ import annotations
@@ -14,11 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .beamsplitter import coincidence_probability
-from .core import TwoPhotonState, _weights_2d, require_normalized
-from .correlation import DEFAULT_CHSH_ANGLES, chsh, fringe_visibility_45
+from .core import TwoPhotonState, reductions
+from .correlation import DEFAULT_CHSH_ANGLES, _chsh, _visibility_45
 
 #: Residuals below this are treated as exact symmetry.
 DEFAULT_CLASSIFICATION_THRESHOLD = 1e-3
@@ -36,10 +43,9 @@ def as_residual(state: TwoPhotonState) -> float:
     = 1.  It vanishes iff f_v1h2 = -f_h1v2 almost everywhere on the grid,
     the condition for a full-height coincidence peak.
     """
-    require_normalized(state)
-    w2d = _weights_2d(state.grid)
-    summed = state.f_h1v2.values + state.f_v1h2.values
-    return 0.25 * float(np.sum(w2d * np.abs(summed) ** 2))
+    red = reductions(state)
+    red.require_normalized()
+    return 0.25 * red.plus_norm
 
 
 def bell_residual(state: TwoPhotonState) -> float:
@@ -52,10 +58,9 @@ def bell_residual(state: TwoPhotonState) -> float:
     exact sin^2(theta1 - theta2) correlations), 1 when the two terms are
     spectrally orthogonal, 2 for the plus-sign counterpart.
     """
-    require_normalized(state)
-    w2d = _weights_2d(state.grid)
-    summed = state.f_h1v2.values + state.f_v1h2.values.T
-    return 0.5 * float(np.sum(w2d * np.abs(summed) ** 2))
+    red = reductions(state)
+    red.require_normalized()
+    return 0.5 * red.path_plus_norm
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,10 @@ def classify(
     """
     if not (0.0 < threshold < 1.0) or not math.isfinite(threshold):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    r_as = as_residual(state)
-    r_bell = bell_residual(state)
+    red = reductions(state)
+    red.require_normalized()
+    r_as = 0.25 * red.plus_norm
+    r_bell = 0.5 * red.path_plus_norm
     has_as = r_as < threshold
     has_bell = r_bell < threshold
     if has_as and has_bell:
@@ -106,11 +113,13 @@ def classify(
         label = "Bell-only"
     else:
         label = "Neither"
+    coincidence = 0.25 * (red.n1 + red.n2) - 0.5 * red.overlap.real
     return SymmetryReport(
         as_residual=r_as,
         bell_residual=r_bell,
         label=label,
-        coincidence_at_zero_delay=coincidence_probability(state, 0.0),
-        chsh_value=chsh(state, chsh_angles),
-        basis45_visibility=fringe_visibility_45(state),
+        # Clamp double-precision residue just outside [0, 1].
+        coincidence_at_zero_delay=min(max(coincidence, 0.0), 1.0),
+        chsh_value=_chsh(red, chsh_angles),
+        basis45_visibility=_visibility_45(red),
     )

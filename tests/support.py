@@ -1,8 +1,12 @@
-"""Shared test helpers: closed-form Gaussian results and random states.
+"""Shared test helpers: closed-form Gaussian results, random states, and
+direct quadratures.
 
 The analytic formulas here are derived independently of the package's
 quadrature (2x2 Gaussian moment algebra), so tests can pin library
-outputs against numbers that do not come from the code under test.
+outputs against numbers that do not come from the code under test.  The
+``direct_*`` functions evaluate the polarization and symmetry observables
+the long way, one N^2 quadrature of the defining integrand per angle, as
+the reference for the library's closed forms.
 """
 
 from __future__ import annotations
@@ -11,7 +15,14 @@ import math
 
 import numpy as np
 
-from biphoton import FrequencyGrid, JointAmplitude, TwoPhotonState, normalize
+from biphoton import (
+    FrequencyGrid,
+    JointAmplitude,
+    TwoPhotonState,
+    inner_product,
+    norm_squared,
+    normalize,
+)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -114,3 +125,55 @@ def make_piecewise_constant_state(
             JointAmplitude(grid, values[0]), JointAmplitude(grid, values[1])
         )
     )
+
+
+def _weights_2d(state: TwoPhotonState) -> np.ndarray:
+    w = state.grid.trapezoid_weights()
+    return np.outer(w, w)
+
+
+def direct_rc_integrated(state: TwoPhotonState, theta1: float, theta2: float) -> float:
+    """Analyzer rate as one quadrature of |a F1 + b swap F2|^2 / (n1 + n2)."""
+    amp = (
+        math.cos(theta1) * math.sin(theta2) * state.f_h1v2.values
+        + math.sin(theta1) * math.cos(theta2) * state.f_v1h2.values.T
+    )
+    total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
+    return float(np.sum(_weights_2d(state) * np.abs(amp) ** 2)) / total
+
+
+def direct_correlation_E(state: TwoPhotonState, alpha: float, beta: float) -> float:
+    """Four-rate combination of direct analyzer rates."""
+    half_pi = 0.5 * math.pi
+    r_pp = direct_rc_integrated(state, alpha, beta)
+    r_pm = direct_rc_integrated(state, alpha, beta + half_pi)
+    r_mp = direct_rc_integrated(state, alpha + half_pi, beta)
+    r_mm = direct_rc_integrated(state, alpha + half_pi, beta + half_pi)
+    return (r_pp - r_pm - r_mp + r_mm) / (r_pp + r_pm + r_mp + r_mm)
+
+
+def direct_chsh(state: TwoPhotonState, angles) -> float:
+    a, a_prime, b, b_prime = angles
+    return abs(
+        direct_correlation_E(state, a, b)
+        - direct_correlation_E(state, a, b_prime)
+        + direct_correlation_E(state, a_prime, b)
+        + direct_correlation_E(state, a_prime, b_prime)
+    )
+
+
+def direct_fringe_visibility_45(state: TwoPhotonState) -> float:
+    """2 |<F1, swap F2>| / (n1 + n2) through inner_product and norm_squared."""
+    path_ordered = JointAmplitude(state.grid, state.f_v1h2.values.T)
+    total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
+    return 2.0 * abs(inner_product(state.f_h1v2, path_ordered)) / total
+
+
+def direct_as_residual(state: TwoPhotonState) -> float:
+    summed = state.f_h1v2.values + state.f_v1h2.values
+    return 0.25 * float(np.sum(_weights_2d(state) * np.abs(summed) ** 2))
+
+
+def direct_bell_residual(state: TwoPhotonState) -> float:
+    summed = state.f_h1v2.values + state.f_v1h2.values.T
+    return 0.5 * float(np.sum(_weights_2d(state) * np.abs(summed) ** 2))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import support
 from biphoton import (
     DEFAULT_CHSH_ANGLES,
+    DEFAULT_CLASSIFICATION_THRESHOLD,
     FrequencyGrid,
     SpdcParams,
     TwoPhotonState,
@@ -18,6 +19,8 @@ from biphoton import (
     build_two_color,
     build_type2_ultrafast,
     chsh,
+    classify,
+    coincidence_probability,
     correlation_E,
     correlation_scan,
     default_grid,
@@ -28,6 +31,7 @@ from biphoton import (
     normalize,
     rc_integrated,
 )
+from biphoton.cli import list_presets, load_config
 
 CENTER = 2.0 * math.pi * support.SPEED_OF_LIGHT / 780e-9
 
@@ -236,3 +240,81 @@ def test_rc_integrated_rejects_zero_state():
     state = TwoPhotonState(JointAmplitude(grid, zeros), JointAmplitude(grid, zeros))
     with pytest.raises(ValueError):
         rc_integrated(state, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_analyzer_angles_are_rejected(bell_state, bad):
+    calls = (
+        lambda: rc_integrated(bell_state, bad, 0.0),
+        lambda: rc_integrated(bell_state, 0.0, bad),
+        lambda: correlation_E(bell_state, bad, 0.3),
+        lambda: correlation_E(bell_state, 0.3, bad),
+        lambda: chsh(bell_state, (bad, 0.0, 0.3, 0.5)),
+        lambda: chsh(bell_state, (0.0, 0.2, 0.3, bad)),
+        lambda: correlation_scan(bell_state, bad, np.linspace(0.0, math.pi, 13)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"analyzer angle must be finite, got {bad!r}"):
+            call()
+
+
+def _assert_matches_direct_quadrature(state, rng):
+    # closed forms from one reductions pass against the direct N^2
+    # quadrature of each defining integrand
+    tol = 1e-13
+    grid = np.linspace(0.0, math.pi, 7)
+    for t1 in grid:
+        for t2 in grid:
+            assert rc_integrated(state, t1, t2) == pytest.approx(
+                support.direct_rc_integrated(state, t1, t2), abs=tol
+            )
+    alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
+    assert correlation_E(state, alpha, beta) == pytest.approx(
+        support.direct_correlation_E(state, alpha, beta), abs=tol
+    )
+    random_angles = tuple(rng.uniform(-math.pi, math.pi, size=4))
+    for angles in (DEFAULT_CHSH_ANGLES, random_angles):
+        assert chsh(state, angles) == pytest.approx(
+            support.direct_chsh(state, angles), abs=tol
+        )
+    v45 = support.direct_fringe_visibility_45(state)
+    assert fringe_visibility_45(state) == pytest.approx(v45, abs=tol)
+
+    report = classify(state, chsh_angles=random_angles)
+    r_as = support.direct_as_residual(state)
+    r_bell = support.direct_bell_residual(state)
+    assert report.as_residual == pytest.approx(r_as, abs=tol)
+    assert report.bell_residual == pytest.approx(r_bell, abs=tol)
+    labels = {
+        (True, True): "Both",
+        (True, False): "AS-only",
+        (False, True): "Bell-only",
+        (False, False): "Neither",
+    }
+    threshold = DEFAULT_CLASSIFICATION_THRESHOLD
+    assert report.label == labels[(r_as < threshold, r_bell < threshold)]
+    assert report.coincidence_at_zero_delay == pytest.approx(
+        coincidence_probability(state, 0.0), abs=tol
+    )
+    assert report.chsh_value == pytest.approx(
+        support.direct_chsh(state, random_angles), abs=tol
+    )
+    assert report.basis45_visibility == pytest.approx(v45, abs=tol)
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_observables_match_direct_quadrature_on_presets(preset, n_points):
+    state = load_config(preset).build_state(n_points)
+    _assert_matches_direct_quadrature(state, np.random.default_rng(n_points))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=3, max_value=16),
+)
+def test_observables_match_direct_quadrature_on_random_states(seed, n_points):
+    rng = np.random.default_rng(seed)
+    state = support.make_random_state(rng, n_points=n_points)
+    _assert_matches_direct_quadrature(state, rng)

@@ -77,6 +77,8 @@ def test_residuals_require_normalized_states():
         as_residual(state)
     with pytest.raises(ValueError):
         bell_residual(state)
+    with pytest.raises(ValueError):
+        classify(state)
 
 
 @settings(max_examples=25, deadline=None)
