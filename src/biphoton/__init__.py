@@ -25,7 +25,6 @@ from .core import (
     DEFAULT_GRID_POINTS,
     FrequencyGrid,
     JointAmplitude,
-    PolarizerSetting,
     TwoPhotonState,
     inner_product,
     is_normalized,
@@ -84,7 +83,6 @@ __all__ = [
     "FrequencyGrid",
     "JointAmplitude",
     "Mode",
-    "PolarizerSetting",
     "SpdcParams",
     "SymmetryReport",
     "TwoPhotonState",

@@ -80,15 +80,22 @@ class BsOutputState:
         a_43 = (F1 - F2) / (2 sqrt(2))      a_34 = -(F1 - F2) / (2 sqrt(2))
         b_33 = b_44 = i (F1 + F2) / (2 sqrt(2))
 
+    Only a_43 and b_33 are stored; a_34 and b_44 are derived from them.
     The input state's 1/sqrt(2) normalization prefactor is absorbed into
     these amplitudes, so each channel probability is the plain quadrature
     norm of its amplitude and the four of them sum to one.
     """
 
     a_43: JointAmplitude
-    a_34: JointAmplitude
     b_33: JointAmplitude
-    b_44: JointAmplitude
+
+    @property
+    def a_34(self) -> JointAmplitude:
+        return JointAmplitude(self.grid, -self.a_43.values)
+
+    @property
+    def b_44(self) -> JointAmplitude:
+        return self.b_33
 
     @property
     def grid(self) -> FrequencyGrid:
@@ -96,7 +103,8 @@ class BsOutputState:
 
     @property
     def probability_coincidence(self) -> float:
-        return norm_squared(self.a_43) + norm_squared(self.a_34)
+        # ||a_34||^2 == ||a_43||^2 exactly, and x + x == 2 x exactly.
+        return 2.0 * norm_squared(self.a_43)
 
     @property
     def probability_both_in_3(self) -> float:
@@ -104,7 +112,7 @@ class BsOutputState:
 
     @property
     def probability_both_in_4(self) -> float:
-        return norm_squared(self.b_44)
+        return self.probability_both_in_3
 
     @property
     def total_probability(self) -> float:
@@ -131,13 +139,9 @@ def bs_transform(state: TwoPhotonState, delay: float = 0.0) -> BsOutputState:
     # per-alternative amplitudes bit for bit.
     t1 = _OUTPUT_PREFACTOR * v1
     t2 = _OUTPUT_PREFACTOR * v2
-    diff = t1 - t2
-    bunch = 1j * (t1 + t2)
     return BsOutputState(
-        a_43=JointAmplitude(grid, diff),
-        a_34=JointAmplitude(grid, -diff),
-        b_33=JointAmplitude(grid, bunch),
-        b_44=JointAmplitude(grid, bunch),
+        a_43=JointAmplitude(grid, t1 - t2),
+        b_33=JointAmplitude(grid, 1j * (t1 + t2)),
     )
 
 

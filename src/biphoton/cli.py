@@ -59,37 +59,127 @@ class ConfigError(ValueError):
     """A configuration file could not be loaded or validated."""
 
 
-def _number(block: dict, path: str, key: str, *, positive=False, nonnegative=False):
+@dataclass(frozen=True)
+class _Key:
+    """How one config key is read: the field it fills, the factor that
+    converts it to SI, its constraint, and its default (None: required).
+
+    Constraints: None (any finite number), "positive", "fraction" (a
+    number in [0, 1]), "count" (an integer of at least 2), "angles" (a
+    list of 4 numbers), or a tuple of the allowed strings.
+    """
+
+    field: str
+    scale: float = 1.0
+    check: str | tuple[str, ...] | None = None
+    default: object = None
+
+
+def _read_value(block: dict, path: str, key: str, spec: _Key):
+    where = f"{path}.{key}"
+    value = block.get(key, spec.default)
+    if isinstance(spec.check, tuple):
+        if value not in spec.check:
+            allowed = " or ".join(repr(choice) for choice in spec.check)
+            raise ConfigError(f"{where} must be {allowed}, got {value!r}")
+        return value
     if key not in block:
-        raise ConfigError(f"missing key {path}.{key}")
-    value = block[key]
+        if value is None:
+            raise ConfigError(f"missing key {where}")
+        return value
+    if spec.check == "angles":
+        if (
+            not isinstance(value, list)
+            or len(value) != 4
+            or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in value)
+        ):
+            raise ConfigError(f"{where} must be a list of 4 numbers")
+        return tuple(float(a) for a in value)
+    if spec.check == "count":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if value < 2:
+            raise ConfigError(f"{where} must be at least 2, got {value}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key} must be finite, got {value!r}")
-    if positive and value <= 0.0:
-        raise ConfigError(f"{path}.{key} must be positive, got {value!r}")
-    if nonnegative and value < 0.0:
-        raise ConfigError(f"{path}.{key} must be nonnegative, got {value!r}")
-    return value
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if spec.check == "positive" and value <= 0.0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    if spec.check == "fraction":
+        if value < 0.0:
+            raise ConfigError(f"{where} must be nonnegative, got {value!r}")
+        if value > 1.0:
+            raise ConfigError(f"{where} must lie in [0, 1]")
+    return value * spec.scale
 
 
-def _integer(block: dict, path: str, key: str, *, minimum: int):
-    if key not in block:
-        raise ConfigError(f"missing key {path}.{key}")
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}.{key} must be at least {minimum}, got {value}")
-    return value
+def _read_block(block, path: str, table: dict, extra=()) -> dict:
+    """Fields of ``block`` read through ``table``, in the table's order.
 
-
-def _reject_unknown(block: dict, path: str, allowed) -> None:
+    Keys outside the table and ``extra`` are rejected by full path.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be an object")
     for key in block:
-        if key not in allowed:
+        if key not in table and key not in extra:
             raise ConfigError(f"unknown key {path}.{key}")
+    return {spec.field: _read_value(block, path, key, spec) for key, spec in table.items()}
+
+
+_GRID = {
+    "center_wavelength_nm": _Key("grid_center", _NM, "positive"),
+    "half_width_rad_per_s": _Key("grid_half_width", check="positive"),
+    "n_points": _Key("grid_points", check="count"),
+}
+_SCAN = {
+    "delay_min_fs": _Key("delay_min", _FS),
+    "delay_max_fs": _Key("delay_max", _FS),
+    "n_delays": _Key("n_delays", check="count"),
+}
+_ANALYSIS = {
+    "chsh_angles_rad": _Key("chsh_angles", check="angles", default=DEFAULT_CHSH_ANGLES),
+    "classification_threshold": _Key(
+        "classification_threshold", check="positive", default=DEFAULT_CLASSIFICATION_THRESHOLD
+    ),
+    "mode_overlap_epsilon": _Key("mode_overlap_epsilon", check="fraction", default=1.0),
+}
+_FILTER = {
+    "shape": _Key("shape", check=("gaussian", "tophat"), default="gaussian"),
+    "center_wavelength_nm": _Key("center_wavelength", _NM, "positive"),
+    "fwhm_nm": _Key("fwhm", _NM, "positive"),
+}
+_SPDC = {
+    "pump_center_wavelength_nm": _Key("pump_center_wavelength", _NM, "positive"),
+    "pump_duration_fs": _Key("pump_duration_fwhm", _FS, "positive"),
+    "sigma_h_rad_per_s": _Key("sigma_h", check="positive"),
+    "sigma_v_rad_per_s": _Key("sigma_v", check="positive"),
+    "walkoff_fs": _Key("t_v", _FS),
+}
+#: Source type -> its key table.  The types whose table holds the _SPDC keys
+#: build SpdcParams and also take a ``filter`` block read through _FILTER.
+_SOURCES = {
+    "type2_ultrafast": {
+        **_SPDC,
+        "phase_rad": _Key("phi"),
+        "extra_group_delay_arm2_fs": _Key("extra_group_delay_arm2", _FS),
+    },
+    "antisymmetric": _SPDC,
+    "bell_psi_minus": {
+        "center_offset1_rad_per_s": _Key("center_offset1"),
+        "sigma1_rad_per_s": _Key("sigma1", check="positive"),
+        "center_offset2_rad_per_s": _Key("center_offset2"),
+        "sigma2_rad_per_s": _Key("sigma2", check="positive"),
+    },
+    "two_color": {
+        "case": _Key("case", check=("i", "ii")),
+        "red_offset_rad_per_s": _Key("red_offset"),
+        "blue_offset_rad_per_s": _Key("blue_offset"),
+        "bandwidth_rad_per_s": _Key("bandwidth", check="positive"),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -131,111 +221,25 @@ class ExperimentConfig:
         return _build_source(self.source, grid)
 
 
-def _parse_filter(block, path: str) -> FilterParams:
+def _parse_source(block) -> dict:
     if not isinstance(block, dict):
-        raise ConfigError(f"{path} must be an object")
-    _reject_unknown(block, path, {"center_wavelength_nm", "fwhm_nm", "shape"})
-    shape = block.get("shape", "gaussian")
-    if shape not in ("gaussian", "tophat"):
-        raise ConfigError(f"{path}.shape must be 'gaussian' or 'tophat', got {shape!r}")
-    return FilterParams(
-        center_wavelength=_number(block, path, "center_wavelength_nm", positive=True) * _NM,
-        fwhm=_number(block, path, "fwhm_nm", positive=True) * _NM,
-        shape=shape,
-    )
-
-
-def _parse_spdc_params(block, path: str, *, with_phase: bool) -> SpdcParams:
-    kwargs = dict(
-        pump_center_wavelength=_number(block, path, "pump_center_wavelength_nm", positive=True) * _NM,
-        pump_duration_fwhm=_number(block, path, "pump_duration_fs", positive=True) * _FS,
-        sigma_h=_number(block, path, "sigma_h_rad_per_s", positive=True),
-        sigma_v=_number(block, path, "sigma_v_rad_per_s", positive=True),
-        t_h=0.0,
-        t_v=_number(block, path, "walkoff_fs") * _FS,
-    )
-    if with_phase:
-        kwargs["phi"] = _number(block, path, "phase_rad")
-        kwargs["extra_group_delay_arm2"] = (
-            _number(block, path, "extra_group_delay_arm2_fs") * _FS
-        )
-    return SpdcParams(**kwargs)
-
-
-_SOURCE_KEYS = {
-    "type2_ultrafast": {
-        "type",
-        "pump_center_wavelength_nm",
-        "pump_duration_fs",
-        "sigma_h_rad_per_s",
-        "sigma_v_rad_per_s",
-        "walkoff_fs",
-        "phase_rad",
-        "extra_group_delay_arm2_fs",
-        "filter",
-    },
-    "antisymmetric": {
-        "type",
-        "pump_center_wavelength_nm",
-        "pump_duration_fs",
-        "sigma_h_rad_per_s",
-        "sigma_v_rad_per_s",
-        "walkoff_fs",
-        "filter",
-    },
-    "bell_psi_minus": {
-        "type",
-        "center_offset1_rad_per_s",
-        "sigma1_rad_per_s",
-        "center_offset2_rad_per_s",
-        "sigma2_rad_per_s",
-    },
-    "two_color": {
-        "type",
-        "case",
-        "red_offset_rad_per_s",
-        "blue_offset_rad_per_s",
-        "bandwidth_rad_per_s",
-    },
-}
-
-
-def _parse_source(block, path: str) -> dict:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path} must be an object")
+        raise ConfigError("source must be an object")
     stype = block.get("type")
-    if stype not in _SOURCE_KEYS:
-        raise ConfigError(
-            f"{path}.type must be one of {sorted(_SOURCE_KEYS)}, got {stype!r}"
-        )
-    _reject_unknown(block, path, _SOURCE_KEYS[stype])
-    parsed: dict = {"type": stype}
-    if stype in ("type2_ultrafast", "antisymmetric"):
-        parsed["params"] = _parse_spdc_params(
-            block, path, with_phase=(stype == "type2_ultrafast")
-        )
-        parsed["filter"] = (
-            _parse_filter(block["filter"], f"{path}.filter") if "filter" in block else None
-        )
-    elif stype == "bell_psi_minus":
-        parsed["center_offset1"] = _number(block, path, "center_offset1_rad_per_s")
-        parsed["sigma1"] = _number(block, path, "sigma1_rad_per_s", positive=True)
-        parsed["center_offset2"] = _number(block, path, "center_offset2_rad_per_s")
-        parsed["sigma2"] = _number(block, path, "sigma2_rad_per_s", positive=True)
-    else:
-        case = block.get("case")
-        if case not in ("i", "ii"):
-            raise ConfigError(f"{path}.case must be 'i' or 'ii', got {case!r}")
-        parsed["case"] = case
-        parsed["red_offset"] = _number(block, path, "red_offset_rad_per_s")
-        parsed["blue_offset"] = _number(block, path, "blue_offset_rad_per_s")
-        parsed["bandwidth"] = _number(block, path, "bandwidth_rad_per_s", positive=True)
-    return parsed
+    if not isinstance(stype, str) or stype not in _SOURCES:
+        raise ConfigError(f"source.type must be one of {sorted(_SOURCES)}, got {stype!r}")
+    table = _SOURCES[stype]
+    if not _SPDC.keys() <= table.keys():
+        return {"type": stype, **_read_block(block, "source", table, extra=("type",))}
+    params = SpdcParams(**_read_block(block, "source", table, extra=("type", "filter")))
+    filt = None
+    if "filter" in block:
+        filt = FilterParams(**_read_block(block["filter"], "source.filter", _FILTER))
+    return {"type": stype, "params": params, "filter": filt}
 
 
 def _build_source(source: dict, grid: FrequencyGrid) -> TwoPhotonState:
     stype = source["type"]
-    center = grid_center_of(grid)
+    center = 0.5 * (grid.omega_min + grid.omega_max)
     if stype == "bell_psi_minus":
         g1 = gaussian_line(grid, center + source["center_offset1"], source["sigma1"])
         g2 = gaussian_line(grid, center + source["center_offset2"], source["sigma2"])
@@ -257,84 +261,32 @@ def _build_source(source: dict, grid: FrequencyGrid) -> TwoPhotonState:
     return state
 
 
-def grid_center_of(grid: FrequencyGrid) -> float:
-    return 0.5 * (grid.omega_min + grid.omega_max)
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    _reject_unknown(raw, "<root>", {"description", "source", "grid", "scan", "analysis"})
+    for key in raw:
+        if key not in ("description", "source", "grid", "scan", "analysis"):
+            raise ConfigError(f"unknown key <root>.{key}")
     for required in ("source", "grid", "scan"):
         if required not in raw:
             raise ConfigError(f"missing block {required}")
     description = raw.get("description", "")
     if not isinstance(description, str):
         raise ConfigError("description must be a string")
-
-    grid_block = raw["grid"]
-    if not isinstance(grid_block, dict):
-        raise ConfigError("grid must be an object")
-    _reject_unknown(
-        grid_block, "grid", {"center_wavelength_nm", "half_width_rad_per_s", "n_points"}
-    )
-    grid_center = wavelength_to_angular_frequency(
-        _number(grid_block, "grid", "center_wavelength_nm", positive=True) * _NM
-    )
-    grid_half_width = _number(grid_block, "grid", "half_width_rad_per_s", positive=True)
-    grid_points = _integer(grid_block, "grid", "n_points", minimum=2)
-
-    scan_block = raw["scan"]
-    if not isinstance(scan_block, dict):
-        raise ConfigError("scan must be an object")
-    _reject_unknown(scan_block, "scan", {"delay_min_fs", "delay_max_fs", "n_delays"})
-    delay_min = _number(scan_block, "scan", "delay_min_fs") * _FS
-    delay_max = _number(scan_block, "scan", "delay_max_fs") * _FS
-    if delay_min >= delay_max:
-        raise ConfigError("scan.delay_min_fs must be below scan.delay_max_fs")
-    scan = ScanSettings(
-        delay_min=delay_min,
-        delay_max=delay_max,
-        n_delays=_integer(scan_block, "scan", "n_delays", minimum=2),
-    )
-
-    analysis_block = raw.get("analysis", {})
-    if not isinstance(analysis_block, dict):
-        raise ConfigError("analysis must be an object")
-    _reject_unknown(
-        analysis_block,
-        "analysis",
-        {"chsh_angles_rad", "classification_threshold", "mode_overlap_epsilon"},
-    )
-    angles = analysis_block.get("chsh_angles_rad", list(DEFAULT_CHSH_ANGLES))
-    if (
-        not isinstance(angles, list)
-        or len(angles) != 4
-        or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in angles)
-    ):
-        raise ConfigError("analysis.chsh_angles_rad must be a list of 4 numbers")
-    threshold = DEFAULT_CLASSIFICATION_THRESHOLD
-    if "classification_threshold" in analysis_block:
-        threshold = _number(analysis_block, "analysis", "classification_threshold", positive=True)
-    epsilon = 1.0
-    if "mode_overlap_epsilon" in analysis_block:
-        epsilon = _number(analysis_block, "analysis", "mode_overlap_epsilon", nonnegative=True)
-        if epsilon > 1.0:
-            raise ConfigError("analysis.mode_overlap_epsilon must lie in [0, 1]")
-    analysis = AnalysisSettings(
-        chsh_angles=tuple(float(a) for a in angles),
-        classification_threshold=threshold,
-        mode_overlap_epsilon=epsilon,
-    )
-
+    grid = _read_block(raw["grid"], "grid", _GRID)
+    grid["grid_center"] = wavelength_to_angular_frequency(grid["grid_center"])
+    scan = ScanSettings(**_read_block(raw["scan"], "scan", _SCAN))
+    if scan.delay_min >= scan.delay_max:
+        low, high, _ = _SCAN
+        raise ConfigError(f"scan.{low} must be below scan.{high}")
     return ExperimentConfig(
         description=description,
-        source=_parse_source(raw["source"], "source"),
-        grid_center=grid_center,
-        grid_half_width=grid_half_width,
-        grid_points=grid_points,
+        source=_parse_source(raw["source"]),
         scan=scan,
-        analysis=analysis,
+        analysis=AnalysisSettings(
+            **_read_block(raw.get("analysis", {}), "analysis", _ANALYSIS)
+        ),
+        **grid,
     )
 
 

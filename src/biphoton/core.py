@@ -269,21 +269,3 @@ def reductions(state: TwoPhotonState) -> StateReductions:
         path_plus_norm=_weighted_norm(w2d, f1 + f2_path),
     )
 
-
-@dataclass(frozen=True)
-class PolarizerSetting:
-    """Linear polarizer angle for one arm, reduced to [0, pi).
-
-    Predictions are pi-periodic in the angle, so the reduction loses
-    nothing.  ``arm`` is 1 or 2.
-    """
-
-    theta: float
-    arm: int
-
-    def __post_init__(self) -> None:
-        if self.arm not in (1, 2):
-            raise ValueError(f"arm must be 1 or 2, got {self.arm}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", self.theta % math.pi)

@@ -213,6 +213,7 @@ def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
     Sets f_v1h2 = -f_h1v2 by exact negation, so the coincidence peak
     condition holds identically on the grid regardless of the envelope.
     """
+    _check_grid_wide_enough(envelope.values, "the joint spectral envelope")
     # State norm is 0.5 (|f1|^2 + |f2|^2) = |envelope|^2 here.
     total = float(np.sum(_weights_2d(envelope.grid) * np.abs(envelope.values) ** 2))
     if total <= 0.0:

@@ -25,7 +25,6 @@ from biphoton import (
     feynman_decomposition,
     gaussian_line,
     normalize,
-    type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
 from biphoton.cli import list_presets, load_config

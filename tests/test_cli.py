@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +373,61 @@ def test_presets_verb(capsys):
         assert name in out_text
     assert main(["presets", "list"]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_antisymmetric_source_rejects_a_grid_that_clips_the_envelope(tmp_path, capsys):
+    # The same narrow grid the type2_ultrafast case above rejects.
+    raw = _valid_config()
+    raw["source"]["type"] = "antisymmetric"
+    del raw["source"]["phase_rad"]
+    del raw["source"]["extra_group_delay_arm2_fs"]
+    raw["grid"]["half_width_rad_per_s"] = 1.0e14
+    raw["grid"]["n_points"] = 256
+    code = main(["classify", "--config", _write_config(tmp_path, raw)])
+    assert code == EXIT_CONFIG
+    assert "grid too narrow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stype", [["type2_ultrafast"], {"name": "laser"}])
+def test_source_type_must_be_a_known_name(tmp_path, capsys, stype):
+    raw = _valid_config()
+    raw["source"]["type"] = stype
+    code = main(["classify", "--config", _write_config(tmp_path, raw)])
+    assert code == EXIT_CONFIG
+    assert "source.type must be one of" in capsys.readouterr().err
+
+
+def _readme_schema_rows():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+    return [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|")
+    ]
+
+
+def test_readme_config_schema_lists_every_key_with_its_constraint():
+    import biphoton.cli as cli_module
+
+    tables = [cli_module._GRID, cli_module._SCAN, cli_module._ANALYSIS, cli_module._FILTER]
+    tables += list(cli_module._SOURCES.values())
+    words = {
+        None: "finite",
+        "positive": "positive",
+        "fraction": "in [0, 1]",
+        "count": "integer ≥ 2",
+        "angles": "list of 4 numbers",
+    }
+    rows = _readme_schema_rows()
+    for table in tables:
+        for key, spec in table.items():
+            if isinstance(spec.check, tuple):
+                expected = " or ".join(f'`"{choice}"`' for choice in spec.check)
+            else:
+                expected = words[spec.check]
+            constraints = [row[row.index(f"`{key}`") + 2] for row in rows if f"`{key}`" in row]
+            assert constraints, f"README config schema does not list {key}"
+            assert any(cell.startswith(expected) for cell in constraints), (key, constraints)
+    for stype in cli_module._SOURCES:
+        assert any(f"`{stype}`" in row[0] for row in rows), stype

@@ -11,7 +11,6 @@ import support
 from biphoton import (
     FrequencyGrid,
     JointAmplitude,
-    PolarizerSetting,
     TwoPhotonState,
     inner_product,
     is_normalized,
@@ -242,16 +241,3 @@ def test_normalize_behavior():
             )
         )
 
-
-def test_polarizer_setting_reduces_angle_and_checks_arm():
-    assert PolarizerSetting(3.0 * math.pi / 2.0, 1).theta == pytest.approx(
-        math.pi / 2.0, abs=1e-12
-    )
-    assert PolarizerSetting(-math.pi / 4.0, 2).theta == pytest.approx(
-        3.0 * math.pi / 4.0, abs=1e-12
-    )
-    assert PolarizerSetting(0.25, 1).theta == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ValueError):
-        PolarizerSetting(0.1, 3)
-    with pytest.raises(ValueError):
-        PolarizerSetting(math.nan, 1)

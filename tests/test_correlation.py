@@ -28,7 +28,6 @@ from biphoton import (
     gaussian_line,
     inner_product,
     norm_squared,
-    normalize,
     rc_integrated,
 )
 from biphoton.cli import list_presets, load_config

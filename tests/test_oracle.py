@@ -21,7 +21,6 @@ from biphoton import (
     coincidence_probability,
     default_grid,
     discretize,
-    gaussian_line,
     normalize,
     outcome_probabilities,
     reconstruct,
