@@ -426,7 +426,9 @@ def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None)
     The discrete route sends the projection through the exact mode
     unitary; the quadrature route evaluates the same projected state
     (embedded back on the grid) with the analytic formula.  Checked at
-    zero delay and at two delays of order the coherence time.
+    zero delay and at two delays of order the coherence time.  The
+    smallest captured norm of the three projections is printed, so a
+    check that only saw a small fraction of the state shows as such.
     """
     if not 2 <= k_bins <= 32:
         raise ConfigError(f"--bins must lie in [2, 32], got {k_bins}")
@@ -435,9 +437,11 @@ def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None)
     tau_c = coherence_time(state)
     max_deviation = 0.0
     max_unitarity_defect = 0.0
+    min_captured_norm = math.inf
     for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c):
         delayed = apply_path1_delay(state, delay)
         basis = discretize(delayed, k_bins)
+        min_captured_norm = min(min_captured_norm, basis.captured_norm)
         transformed = apply_bs_exact(basis)
         max_unitarity_defect = max(
             max_unitarity_defect, abs(transformed.total_probability() - 1.0)
@@ -449,6 +453,7 @@ def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None)
     print(f"k_bins = {k_bins}")
     print(f"max_relative_deviation = {max_deviation:.3e}")
     print(f"unitarity_defect = {max_unitarity_defect:.3e}")
+    print(f"captured_norm = {min_captured_norm:.3e}")
     ok = (
         max_deviation < ORACLE_DEVIATION_LIMIT
         and max_unitarity_defect < ORACLE_UNITARITY_LIMIT

@@ -1,24 +1,47 @@
 """Brute-force discrete-mode cross-check of the beamsplitter analysis.
 
-Frequency is coarsened into K bins, giving a finite set of single-photon
-modes (path, polarization, bin).  The two-photon state becomes a vector
-over unordered mode pairs, the beamsplitter acts as an exact one-photon
-unitary on the path label, and outcome probabilities are read off by
-direct summation.  Everything here is written against that finite Fock
-space from scratch: bin aggregation and probability bookkeeping share no
-code with the quadrature modules, so agreement between the two routes is
-a real consistency check rather than the same integral computed twice.
+Frequency is coarsened into K bins, giving 4K single-photon modes
+(path, polarization, bin), ordered path first, then polarization, then
+bin.  A two-photon state over those modes is one dense symmetric pair
+matrix T,
+
+    |psi> = sum_{u, v} T[u, v] a+_u a+_v |0>,
+
+so the physical amplitude of the pair {u, v} is 2 T[u, v] for u != v and
+sqrt(2) T[u, u] for a doubly occupied mode, and the total probability is
+2 ||T||_F^2.  The beamsplitter acts only on the path label, so it mixes
+the 2K x 2K path blocks of T with a 2 x 2 unitary and never forms the
+(4K)^2 mode unitary.  Per delay the bin projection and its embedding
+back on the grid cost O(K N^2) on an N-point grid, the transform and the
+outcome sums O(K^2).
+
+Everything here is written against that finite Fock space from scratch:
+bin aggregation and probability bookkeeping share no code with the
+quadrature modules, so agreement between the two routes is a real
+consistency check rather than the same integral computed twice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import JointAmplitude, TwoPhotonState
+
+_ROOT_TWO = math.sqrt(2.0)
+
+#: One-photon path unitary, rows output paths (3, 4), columns input
+#: paths (1, 2): a+_1 -> (i a+_3 + a+_4)/sqrt(2), a+_2 -> (a+_3 + i a+_4)/sqrt(2).
+_PATH_UNITARY = np.array([[1j, 1.0], [1.0, 1j]]) / _ROOT_TWO
+
+#: Sector (path, polarization) indices of an input basis, in mode order.
+_H1, _V1, _H2, _V2 = range(4)
 
 
 class Mode(NamedTuple):
@@ -29,29 +52,112 @@ class Mode(NamedTuple):
     bin_index: int
 
 
-def _pair_key(a: Mode, b: Mode) -> tuple[Mode, Mode]:
-    # Unordered pair: store under a canonical ordering.
-    return (a, b) if a <= b else (b, a)
+def _mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
+    return [
+        Mode(path, pol, k)
+        for path in paths
+        for pol in ("H", "V")
+        for k in range(k_bins)
+    ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DiscreteModeBasis:
-    """Two-photon amplitude vector over unordered discrete mode pairs.
+    """Two-photon state over the 4K discrete modes of two paths.
 
-    amplitudes maps a canonical (mode, mode) pair to its physical
-    amplitude: the probability of finding the pair is |amplitude|^2, for
-    identical-mode pairs (a doubly occupied mode) included.  The vector is
-    normalized after construction; captured_norm records how much of the
+    The constructor takes ``amplitudes``, a mapping from canonical
+    (mode, mode) pairs (the smaller mode first) to physical amplitudes:
+    the probability of finding the pair is |amplitude|^2, for
+    identical-mode pairs (a doubly occupied mode) included.  The state is
+    kept as the read-only pair matrix T of the module docstring,
+    ``pair_matrix``; ``amplitudes`` reads the nonzero pair amplitudes back
+    from it when first accessed.  captured_norm records how much of the
     original continuum norm the K bins captured before renormalization.
     """
 
     k_bins: int
     paths: tuple[int, int]
-    amplitudes: dict[tuple[Mode, Mode], complex]
+    pair_matrix: np.ndarray = field(repr=False)
     captured_norm: float
 
+    def __init__(
+        self,
+        k_bins: int,
+        paths: tuple[int, int],
+        amplitudes: Mapping[tuple[Mode, Mode], complex],
+        captured_norm: float,
+    ) -> None:
+        paths = tuple(paths)
+        if len(paths) != 2 or not paths[0] < paths[1]:
+            raise ValueError(f"paths must be two increasing path labels, got {paths}")
+        index = {mode: i for i, mode in enumerate(_mode_list(paths, k_bins))}
+        t = np.zeros((len(index), len(index)), dtype=np.complex128)
+        for (mode_a, mode_b), amp in amplitudes.items():
+            if mode_a not in index or mode_b not in index:
+                raise ValueError(
+                    f"pair {(mode_a, mode_b)} is not a pair of the {k_bins}-bin "
+                    f"modes on paths {paths}"
+                )
+            i, j = index[mode_a], index[mode_b]
+            if i == j:
+                t[i, i] += amp / _ROOT_TWO
+            else:
+                t[i, j] += 0.5 * amp
+                t[j, i] += 0.5 * amp
+        _fill(self, k_bins, paths, t, captured_norm)
+
+    @cached_property
+    def amplitudes(self) -> Mapping[tuple[Mode, Mode], complex]:
+        modes = _mode_list(self.paths, self.k_bins)
+        t = self.pair_matrix
+        pairs = 2.0 * np.triu(t, 1)
+        np.fill_diagonal(pairs, _ROOT_TWO * np.diagonal(t))
+        rows, cols = np.nonzero(pairs)
+        return MappingProxyType(
+            {
+                (modes[i], modes[j]): complex(pairs[i, j])
+                for i, j in zip(rows.tolist(), cols.tolist())
+            }
+        )
+
     def total_probability(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+        return 2.0 * _squared_norm(self.pair_matrix)
+
+
+def _fill(basis: DiscreteModeBasis, k_bins, paths, t: np.ndarray, captured_norm) -> None:
+    t.setflags(write=False)
+    for name, value in (
+        ("k_bins", k_bins),
+        ("paths", tuple(paths)),
+        ("pair_matrix", t),
+        ("captured_norm", float(captured_norm)),
+    ):
+        object.__setattr__(basis, name, value)
+
+
+def _from_pair_matrix(k_bins: int, paths, t: np.ndarray, captured_norm) -> DiscreteModeBasis:
+    basis = DiscreteModeBasis.__new__(DiscreteModeBasis)
+    _fill(basis, k_bins, paths, t, captured_norm)
+    return basis
+
+
+def _squared_norm(a: np.ndarray) -> float:
+    return float(np.vdot(a, a).real)
+
+
+def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Trapezoid weights and the K contiguous blocks of grid points.
+
+    The weights are written out on purpose; see the module docstring.
+    """
+    n = grid.n_points
+    if k_bins > n:
+        raise ValueError(f"k_bins = {k_bins} exceeds the {n}-point grid")
+    step = (grid.omega_max - grid.omega_min) / (n - 1)
+    w = np.full(n, step)
+    w[0] = 0.5 * step
+    w[-1] = 0.5 * step
+    return w, np.array_split(np.arange(n), k_bins)
 
 
 def discretize(state: TwoPhotonState, k_bins: int) -> DiscreteModeBasis:
@@ -72,43 +178,25 @@ def discretize(state: TwoPhotonState, k_bins: int) -> DiscreteModeBasis:
         raise ValueError(f"k_bins must be an integer, got {k_bins!r}")
     if k_bins < 2:
         raise ValueError(f"k_bins must be at least 2, got {k_bins}")
-    n = state.grid.n_points
-    if k_bins > n:
-        raise ValueError(f"k_bins = {k_bins} exceeds the {n}-point grid")
-    # Trapezoid weights written out on purpose; see the module docstring.
-    step = (state.grid.omega_max - state.grid.omega_min) / (n - 1)
-    w = np.full(n, step)
-    w[0] = 0.5 * step
-    w[-1] = 0.5 * step
-    blocks = np.array_split(np.arange(n), k_bins)
-    aggregate = np.zeros((k_bins, n))
+    w, blocks = _flat_bins(state.grid, k_bins)
+    aggregate = np.zeros((k_bins, state.grid.n_points))
     for k, block in enumerate(blocks):
         w_block = w[block]
         aggregate[k, block] = w_block / math.sqrt(float(np.sum(w_block)))
     c1 = aggregate @ state.f_h1v2.values @ aggregate.T
     c2 = aggregate @ state.f_v1h2.values @ aggregate.T
     # Physical pair amplitudes carry the state's overall 1/sqrt(2).
-    root_half = 1.0 / math.sqrt(2.0)
-    amplitudes: dict[tuple[Mode, Mode], complex] = {}
-    for k in range(k_bins):
-        for m in range(k_bins):
-            a1 = root_half * c1[k, m]
-            if a1 != 0.0:
-                key = _pair_key(Mode(1, "H", k), Mode(2, "V", m))
-                amplitudes[key] = amplitudes.get(key, 0.0) + a1
-            a2 = root_half * c2[k, m]
-            if a2 != 0.0:
-                # In f_v1h2 the first index (bin k) is the path-2 H photon.
-                key = _pair_key(Mode(1, "V", m), Mode(2, "H", k))
-                amplitudes[key] = amplitudes.get(key, 0.0) + a2
-    captured = float(sum(abs(c) ** 2 for c in amplitudes.values()))
+    captured = 0.5 * (_squared_norm(c1) + _squared_norm(c2))
     if captured <= 0.0:
         raise ValueError("state projects to zero on the requested bins")
-    scale = 1.0 / math.sqrt(captured)
-    amplitudes = {key: scale * c for key, c in amplitudes.items()}
-    return DiscreteModeBasis(
-        k_bins=k_bins, paths=(1, 2), amplitudes=amplitudes, captured_norm=captured
-    )
+    scale = 1.0 / (2.0 * _ROOT_TWO * math.sqrt(captured))
+    # In f_v1h2 the first index (bin k) is the path-2 H photon's.
+    t = np.zeros((4, k_bins, 4, k_bins), dtype=np.complex128)
+    t[_H1, :, _V2, :] = scale * c1
+    t[_V1, :, _H2, :] = scale * c2.T
+    t[_V2, :, _H1, :] = t[_H1, :, _V2, :].T
+    t[_H2, :, _V1, :] = t[_V1, :, _H2, :].T
+    return _from_pair_matrix(k_bins, (1, 2), t.reshape(4 * k_bins, 4 * k_bins), captured)
 
 
 def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
@@ -119,117 +207,70 @@ def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
     discretize(reconstruct(b), b.k_bins) returns b with captured norm 1.
     The result is the piecewise-constant continuum state the discrete
     vector actually represents, which makes analytic and discrete-mode
-    outcome probabilities directly comparable.
+    outcome probabilities directly comparable.  Only (1H, 2V) and
+    (1V, 2H) pairs have a place in a TwoPhotonState; a basis with
+    amplitude on any other pair is rejected.
     """
     if basis.paths != (1, 2):
         raise ValueError(f"only input bases on paths (1, 2) embed, got {basis.paths}")
-    n = grid.n_points
-    if basis.k_bins > n:
-        raise ValueError(f"k_bins = {basis.k_bins} exceeds the {n}-point grid")
-    step = (grid.omega_max - grid.omega_min) / (n - 1)
-    w = np.full(n, step)
-    w[0] = 0.5 * step
-    w[-1] = 0.5 * step
-    blocks = np.array_split(np.arange(n), basis.k_bins)
-    # Flat bin mode sampled on the grid: 1/sqrt(W_k) over block k.
-    mode_fn = np.zeros((basis.k_bins, n))
-    for k, block in enumerate(blocks):
-        mode_fn[k, block] = 1.0 / math.sqrt(float(np.sum(w[block])))
-    c1 = np.zeros((basis.k_bins, basis.k_bins), dtype=np.complex128)
-    c2 = np.zeros((basis.k_bins, basis.k_bins), dtype=np.complex128)
-    root_two = math.sqrt(2.0)
-    for (mode_a, mode_b), amp in basis.amplitudes.items():
-        first, second = (mode_a, mode_b) if mode_a.path == 1 else (mode_b, mode_a)
-        if first.pol == "H":
-            # Row index is the w_H bin: the path-1 H photon's bin here.
-            c1[first.bin_index, second.bin_index] += root_two * amp
-        else:
-            # Here w_H rides with the path-2 H photon.
-            c2[second.bin_index, first.bin_index] += root_two * amp
-    f1 = mode_fn.T @ c1 @ mode_fn
-    f2 = mode_fn.T @ c2 @ mode_fn
+    k_bins = basis.k_bins
+    w, blocks = _flat_bins(grid, k_bins)
+    sectors = basis.pair_matrix.reshape(4, k_bins, 4, k_bins)
+    other = np.ones((4, 4), dtype=bool)
+    other[_H1, _V2] = other[_V2, _H1] = other[_V1, _H2] = other[_H2, _V1] = False
+    if np.any(sectors.transpose(0, 2, 1, 3)[other]):
+        raise ValueError(
+            "only (1H, 2V) and (1V, 2H) pairs embed in a two-photon state; "
+            "the basis has amplitude on other mode pairs"
+        )
+    # Flat bin mode sampled on the grid: 1/sqrt(W_k) over block k, so
+    # F[i, j] = c[k, m] / sqrt(W_k W_m) for i in bin k and j in bin m.
+    root_w = np.array([math.sqrt(float(np.sum(w[block]))) for block in blocks])
+    scale = 2.0 * _ROOT_TWO / np.outer(root_w, root_w)
+    counts = [len(block) for block in blocks]
+    # Row index is the w_H bin: the path-1 H photon's in c1, the path-2 H
+    # photon's in c2.
+    c1 = scale * sectors[_H1, :, _V2, :]
+    c2 = scale * sectors[_V1, :, _H2, :].T
+    f1 = np.repeat(np.repeat(c1, counts, axis=0), counts, axis=1)
+    f2 = np.repeat(np.repeat(c2, counts, axis=0), counts, axis=1)
     return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
-
-
-def _mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
-    return [
-        Mode(path, pol, k)
-        for path in paths
-        for pol in ("H", "V")
-        for k in range(k_bins)
-    ]
 
 
 def apply_bs_exact(basis: DiscreteModeBasis) -> DiscreteModeBasis:
     """Send the discrete state through the beamsplitter exactly.
 
-    The pair amplitudes are packed into a symmetric matrix T over input
-    modes (T[u, v] = amplitude/2 off the diagonal, amplitude/sqrt(2) on
-    it, so that |psi> = sum T[u, v] a+_u a+_v |0>), the one-photon unitary
+    With u the 2 x 2 path unitary and T viewed as 2 x 2 path blocks of
+    size 2K, the output pair matrix is
 
-        a+_1 -> (i a+_3 + a+_4)/sqrt(2),   a+_2 -> (a+_3 + i a+_4)/sqrt(2)
+        T_out[p, q] = sum_{a, b} u[p, a] u[q, b] T[a, b],
 
-    acts as T -> U T U^T, and the physical amplitudes are unpacked with
-    the inverse bosonic factors (2 T off-diagonal, sqrt(2) T on it).
+    which is U T U^T for the mode unitary U = u (x) identity.
     """
     if basis.paths != (1, 2):
         raise ValueError(f"input basis must live on paths (1, 2), got {basis.paths}")
-    k_bins = basis.k_bins
-    modes_in = _mode_list((1, 2), k_bins)
-    modes_out = _mode_list((3, 4), k_bins)
-    index_in = {m: i for i, m in enumerate(modes_in)}
-    index_out = {m: i for i, m in enumerate(modes_out)}
-    n_modes = len(modes_in)
-    t = np.zeros((n_modes, n_modes), dtype=np.complex128)
-    for (mode_a, mode_b), amp in basis.amplitudes.items():
-        i, j = index_in[mode_a], index_in[mode_b]
-        if i == j:
-            t[i, i] = amp / math.sqrt(2.0)
-        else:
-            t[i, j] += 0.5 * amp
-            t[j, i] += 0.5 * amp
-    u = np.zeros((n_modes, n_modes), dtype=np.complex128)
-    r = 1.0 / math.sqrt(2.0)
-    for pol in ("H", "V"):
-        for k in range(k_bins):
-            col1 = index_in[Mode(1, pol, k)]
-            col2 = index_in[Mode(2, pol, k)]
-            u[index_out[Mode(3, pol, k)], col1] = 1j * r
-            u[index_out[Mode(4, pol, k)], col1] = r
-            u[index_out[Mode(3, pol, k)], col2] = r
-            u[index_out[Mode(4, pol, k)], col2] = 1j * r
-    t_out = u @ t @ u.T
-    amplitudes: dict[tuple[Mode, Mode], complex] = {}
-    for i, mode_a in enumerate(modes_out):
-        diag = math.sqrt(2.0) * t_out[i, i]
-        if diag != 0.0:
-            amplitudes[(mode_a, mode_a)] = complex(diag)
-        for j in range(i + 1, n_modes):
-            amp = 2.0 * t_out[i, j]
-            if amp != 0.0:
-                amplitudes[_pair_key(mode_a, modes_out[j])] = complex(amp)
-    return DiscreteModeBasis(
-        k_bins=k_bins,
-        paths=(3, 4),
-        amplitudes=amplitudes,
-        captured_norm=basis.captured_norm,
+    half = 2 * basis.k_bins
+    blocks = basis.pair_matrix.reshape(2, half, 2, half)
+    t_out = np.einsum("pa,qb,axby->pxqy", _PATH_UNITARY, _PATH_UNITARY, blocks)
+    return _from_pair_matrix(
+        basis.k_bins, (3, 4), t_out.reshape(2 * half, 2 * half), basis.captured_norm
     )
 
 
 def outcome_probabilities(basis: DiscreteModeBasis) -> dict[str, float]:
     """Sum |amplitude|^2 into the three detection outcomes.
 
-    coincidence: one photon in each output path; both_in_3 / both_in_4:
-    the bunched outcomes.  The three sum to the basis total probability,
-    1 within 1e-12 after a lossless transform.
+    coincidence: one photon in each output path, 4 ||T_34||^2;
+    both_in_3 / both_in_4: the bunched outcomes, 2 ||T_33||^2 and
+    2 ||T_44||^2.  The three sum to the basis total probability, 1 within
+    1e-12 after a lossless transform.
     """
     if basis.paths != (3, 4):
         raise ValueError(f"output basis must live on paths (3, 4), got {basis.paths}")
-    sums = {"coincidence": 0.0, "both_in_3": 0.0, "both_in_4": 0.0}
-    for (mode_a, mode_b), amp in basis.amplitudes.items():
-        p = abs(amp) ** 2
-        if mode_a.path == mode_b.path:
-            sums["both_in_3" if mode_a.path == 3 else "both_in_4"] += p
-        else:
-            sums["coincidence"] += p
-    return sums
+    half = 2 * basis.k_bins
+    t = basis.pair_matrix
+    return {
+        "coincidence": 4.0 * _squared_norm(t[:half, half:]),
+        "both_in_3": 2.0 * _squared_norm(t[:half, :half]),
+        "both_in_4": 2.0 * _squared_norm(t[half:, half:]),
+    }

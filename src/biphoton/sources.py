@@ -64,6 +64,19 @@ class SpdcParams:
             raise ValueError("pump_duration_fwhm must be positive")
         if self.sigma_h <= 0.0 or self.sigma_v <= 0.0:
             raise ValueError("photon bandwidths must be positive")
+        # type2_joint_envelope divides by 4 sigma^2 for each of the three
+        # widths: the square must neither overflow nor underflow to zero.
+        for given, sigma in (
+            (f"sigma_h = {self.sigma_h!r} rad/s", self.sigma_h),
+            (f"sigma_v = {self.sigma_v!r} rad/s", self.sigma_v),
+            (f"pump_duration_fwhm = {self.pump_duration_fwhm!r} s", self.pump_sigma),
+        ):
+            squared = 4.0 * sigma * sigma
+            if not 0.0 < squared < math.inf:
+                raise ValueError(
+                    f"{given} is out of range: the squared spectral width "
+                    f"4 sigma^2 = {squared!r} is not a finite positive number"
+                )
 
     @property
     def photon_center_frequency(self) -> float:
@@ -86,7 +99,8 @@ class FilterParams:
 
     ``fwhm`` is the full width at half maximum of the *intensity*
     transmission, quoted in wavelength; it is converted to angular
-    frequency linearly about the center wavelength.
+    frequency linearly about the center wavelength, so it must be
+    smaller than the center wavelength.
     """
 
     center_wavelength: float = 780e-9
@@ -96,6 +110,11 @@ class FilterParams:
     def __post_init__(self) -> None:
         if self.center_wavelength <= 0.0 or self.fwhm <= 0.0:
             raise ValueError("filter center and fwhm must be positive")
+        if self.fwhm >= self.center_wavelength:
+            raise ValueError(
+                f"filter fwhm {self.fwhm!r} m must be below its center wavelength "
+                f"{self.center_wavelength!r} m: a linear width conversion is meaningless there"
+            )
         if self.shape not in ("gaussian", "tophat"):
             raise ValueError(f"unknown filter shape {self.shape!r}")
 
@@ -298,10 +317,17 @@ def apply_filters(state: TwoPhotonState, filt: FilterParams) -> TwoPhotonState:
 
     The amplitude transmission multiplies each frequency argument of both
     amplitudes, so both exchange and path-label symmetries are preserved.
-    A filter whose passband misses the grid would annihilate the state and
-    is rejected.
+    A filter centered outside the grid's frequency span, or one whose
+    passband transmits nothing the grid holds, is rejected.
     """
-    x = state.grid.points() - filt.center_frequency
+    grid = state.grid
+    center = filt.center_frequency
+    if not grid.omega_min <= center <= grid.omega_max:
+        raise ValueError(
+            f"filter center {center!r} rad/s lies outside the grid's frequency span "
+            f"[{grid.omega_min!r}, {grid.omega_max!r}] rad/s"
+        )
+    x = grid.points() - center
     width = filt.fwhm_frequency
     if filt.shape == "gaussian":
         # Amplitude transmission = sqrt of a Gaussian intensity profile.

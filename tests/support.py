@@ -6,18 +6,24 @@ quadrature (2x2 Gaussian moment algebra), so tests can pin library
 outputs against numbers that do not come from the code under test.  The
 ``direct_*`` functions evaluate the polarization and symmetry observables
 the long way, one N^2 quadrature of the defining integrand per angle, as
-the reference for the library's closed forms.
+the reference for the library's closed forms.  ``direct_discretize``,
+``direct_apply_bs_exact``, ``direct_outcome_probabilities`` and
+``direct_reconstruct`` are the discrete-mode oracle written as per-pair
+dict loops over mode pairs, the reference for the library's dense pair
+matrix.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from biphoton import (
     FrequencyGrid,
     JointAmplitude,
+    Mode,
     TwoPhotonState,
     inner_product,
     norm_squared,
@@ -177,3 +183,132 @@ def direct_as_residual(state: TwoPhotonState) -> float:
 def direct_bell_residual(state: TwoPhotonState) -> float:
     summed = state.f_h1v2.values + state.f_v1h2.values.T
     return 0.5 * float(np.sum(_weights_2d(state) * np.abs(summed) ** 2))
+
+
+class DictBasis(NamedTuple):
+    """A discrete-mode two-photon state as a dict of pair amplitudes.
+
+    amplitudes maps a canonical (mode, mode) pair, the smaller mode first,
+    to its physical amplitude, a doubly occupied mode included.
+    """
+
+    k_bins: int
+    paths: tuple[int, int]
+    amplitudes: dict
+    captured_norm: float
+
+    def total_probability(self) -> float:
+        return float(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+
+
+def _pair_key(a: Mode, b: Mode) -> tuple[Mode, Mode]:
+    return (a, b) if a <= b else (b, a)
+
+
+def _dict_mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
+    return [Mode(path, pol, k) for path in paths for pol in ("H", "V") for k in range(k_bins)]
+
+
+def _bin_blocks(grid: FrequencyGrid, k_bins: int):
+    step = (grid.omega_max - grid.omega_min) / (grid.n_points - 1)
+    w = np.full(grid.n_points, step)
+    w[0] = 0.5 * step
+    w[-1] = 0.5 * step
+    return w, np.array_split(np.arange(grid.n_points), k_bins)
+
+
+def direct_discretize(state: TwoPhotonState, k_bins: int) -> DictBasis:
+    """Flat-bin projection filled into a dict, one mode pair at a time."""
+    n = state.grid.n_points
+    w, blocks = _bin_blocks(state.grid, k_bins)
+    aggregate = np.zeros((k_bins, n))
+    for k, block in enumerate(blocks):
+        aggregate[k, block] = w[block] / math.sqrt(float(np.sum(w[block])))
+    c1 = aggregate @ state.f_h1v2.values @ aggregate.T
+    c2 = aggregate @ state.f_v1h2.values @ aggregate.T
+    root_half = 1.0 / math.sqrt(2.0)
+    amplitudes: dict = {}
+    for k in range(k_bins):
+        for m in range(k_bins):
+            a1 = root_half * c1[k, m]
+            if a1 != 0.0:
+                key = _pair_key(Mode(1, "H", k), Mode(2, "V", m))
+                amplitudes[key] = amplitudes.get(key, 0.0) + a1
+            a2 = root_half * c2[k, m]
+            if a2 != 0.0:
+                # In f_v1h2 the first index (bin k) is the path-2 H photon.
+                key = _pair_key(Mode(1, "V", m), Mode(2, "H", k))
+                amplitudes[key] = amplitudes.get(key, 0.0) + a2
+    captured = float(sum(abs(c) ** 2 for c in amplitudes.values()))
+    scale = 1.0 / math.sqrt(captured)
+    amplitudes = {key: scale * c for key, c in amplitudes.items()}
+    return DictBasis(k_bins, (1, 2), amplitudes, captured)
+
+
+def direct_apply_bs_exact(basis: DictBasis) -> DictBasis:
+    """Beamsplitter as U T U^T with the full (4K)^2 mode unitary U."""
+    k_bins = basis.k_bins
+    modes_in = _dict_mode_list((1, 2), k_bins)
+    modes_out = _dict_mode_list((3, 4), k_bins)
+    index_in = {m: i for i, m in enumerate(modes_in)}
+    index_out = {m: i for i, m in enumerate(modes_out)}
+    n_modes = len(modes_in)
+    t = np.zeros((n_modes, n_modes), dtype=np.complex128)
+    for (mode_a, mode_b), amp in basis.amplitudes.items():
+        i, j = index_in[mode_a], index_in[mode_b]
+        if i == j:
+            t[i, i] = amp / math.sqrt(2.0)
+        else:
+            t[i, j] += 0.5 * amp
+            t[j, i] += 0.5 * amp
+    u = np.zeros((n_modes, n_modes), dtype=np.complex128)
+    r = 1.0 / math.sqrt(2.0)
+    for pol in ("H", "V"):
+        for k in range(k_bins):
+            col1 = index_in[Mode(1, pol, k)]
+            col2 = index_in[Mode(2, pol, k)]
+            u[index_out[Mode(3, pol, k)], col1] = 1j * r
+            u[index_out[Mode(4, pol, k)], col1] = r
+            u[index_out[Mode(3, pol, k)], col2] = r
+            u[index_out[Mode(4, pol, k)], col2] = 1j * r
+    t_out = u @ t @ u.T
+    amplitudes: dict = {}
+    for i, mode_a in enumerate(modes_out):
+        diag = math.sqrt(2.0) * t_out[i, i]
+        if diag != 0.0:
+            amplitudes[(mode_a, mode_a)] = complex(diag)
+        for j in range(i + 1, n_modes):
+            amp = 2.0 * t_out[i, j]
+            if amp != 0.0:
+                amplitudes[_pair_key(mode_a, modes_out[j])] = complex(amp)
+    return DictBasis(k_bins, (3, 4), amplitudes, basis.captured_norm)
+
+
+def direct_outcome_probabilities(basis: DictBasis) -> dict[str, float]:
+    sums = {"coincidence": 0.0, "both_in_3": 0.0, "both_in_4": 0.0}
+    for (mode_a, mode_b), amp in basis.amplitudes.items():
+        p = abs(amp) ** 2
+        if mode_a.path == mode_b.path:
+            sums["both_in_3" if mode_a.path == 3 else "both_in_4"] += p
+        else:
+            sums["coincidence"] += p
+    return sums
+
+
+def direct_reconstruct(basis: DictBasis, grid: FrequencyGrid) -> TwoPhotonState:
+    """Embed (1H, 2V) and (1V, 2H) pair amplitudes as flat bin blocks."""
+    w, blocks = _bin_blocks(grid, basis.k_bins)
+    mode_fn = np.zeros((basis.k_bins, grid.n_points))
+    for k, block in enumerate(blocks):
+        mode_fn[k, block] = 1.0 / math.sqrt(float(np.sum(w[block])))
+    c1 = np.zeros((basis.k_bins, basis.k_bins), dtype=np.complex128)
+    c2 = np.zeros((basis.k_bins, basis.k_bins), dtype=np.complex128)
+    for (mode_a, mode_b), amp in basis.amplitudes.items():
+        first, second = (mode_a, mode_b) if mode_a.path == 1 else (mode_b, mode_a)
+        if first.pol == "H":
+            c1[first.bin_index, second.bin_index] += math.sqrt(2.0) * amp
+        else:
+            c2[second.bin_index, first.bin_index] += math.sqrt(2.0) * amp
+    f1 = mode_fn.T @ c1 @ mode_fn
+    f2 = mode_fn.T @ c2 @ mode_fn
+    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))

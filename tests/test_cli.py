@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from biphoton import apply_path1_delay, coherence_time, discretize
 from biphoton.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -431,3 +432,71 @@ def test_readme_config_schema_lists_every_key_with_its_constraint():
             assert any(cell.startswith(expected) for cell in constraints), (key, constraints)
     for stype in cli_module._SOURCES:
         assert any(f"`{stype}`" in row[0] for row in rows), stype
+
+
+def test_oracle_check_prints_the_smallest_captured_norm_on_every_preset(capsys):
+    for preset in sorted(PRESET_NAMES):
+        assert main(["oracle-check", "--config", preset]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        keys = [line.partition(" = ")[0] for line in lines]
+        assert keys.index("captured_norm") == keys.index("result") - 1, lines
+        printed = lines[keys.index("captured_norm")].partition(" = ")[2]
+        state = load_config(preset).build_state()
+        tau_c = coherence_time(state)
+        smallest = min(
+            discretize(apply_path1_delay(state, delay), 8).captured_norm
+            for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c)
+        )
+        assert printed == f"{smallest:.3e}"
+
+
+def _config_with_source(stype, **changes):
+    raw = _valid_config()
+    raw["source"]["type"] = stype
+    if stype == "antisymmetric":
+        del raw["source"]["phase_rad"]
+        del raw["source"]["extra_group_delay_arm2_fs"]
+    raw["source"].update(changes)
+    raw["grid"]["n_points"] = 64
+    return raw
+
+
+@pytest.mark.parametrize("stype", ["type2_ultrafast", "antisymmetric"])
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"sigma_h_rad_per_s": 1e300},  # 4 sigma^2 overflows
+        {"sigma_v_rad_per_s": 1e300},
+        {"sigma_h_rad_per_s": 1e-200},  # 4 sigma^2 underflows to zero
+        {"pump_duration_fs": 1e-300},  # pump bandwidth overflows
+        {"pump_duration_fs": 1e300},
+    ],
+    ids=["sigma_h-huge", "sigma_v-huge", "sigma_h-tiny", "pump-tiny", "pump-huge"],
+)
+def test_source_widths_whose_square_is_not_finite_are_config_errors(
+    tmp_path, capsys, stype, changes
+):
+    raw = _config_with_source(stype, **changes)
+    code = main(["classify", "--config", _write_config(tmp_path, raw)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "out of range" in err, err
+
+
+@pytest.mark.parametrize(
+    "filter_block",
+    [
+        # a 20 nm FWHM about a 2.5 nm center: the linear conversion is void
+        {"center_wavelength_nm": 2.5, "fwhm_nm": 20.0},
+        # a passband reaching the grid from a center far outside it
+        {"center_wavelength_nm": 1500.0, "fwhm_nm": 1000.0},
+    ],
+    ids=["fwhm-above-center", "center-off-grid"],
+)
+def test_filter_far_from_the_grid_is_a_config_error(tmp_path, capsys, filter_block):
+    raw = _config_with_source("type2_ultrafast")
+    raw["source"]["filter"] = filter_block
+    code = main(["chsh", "--config", _write_config(tmp_path, raw)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG, captured.out
+    assert captured.err.startswith("config error:") and "filter" in captured.err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from biphoton import (
@@ -27,6 +29,7 @@ from biphoton import (
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
+from biphoton.cli import load_config
 
 CENTER = wavelength_to_angular_frequency(780e-9)
 
@@ -247,3 +250,149 @@ def test_oracle_deviation_shrinks_under_bin_refinement():
         ]
         assert all(a >= b - 1e-12 for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 0.1 * devs[0]
+
+
+# The dense pair-matrix oracle against the per-pair dict loops it replaced
+# (tests/support.py).  Amplitudes, probabilities and captured norms are all
+# O(1) numbers, so one absolute tolerance covers them.
+EQUIV_TOL = 1e-13
+
+PRESETS = (
+    "bell_ideal",
+    "two_color_path",
+    "two_color_polarization",
+    "uncompensated_dip",
+    "uncompensated_peak",
+)
+
+
+def _assert_same_basis(dense, reference):
+    assert (dense.k_bins, dense.paths) == (reference.k_bins, reference.paths)
+    assert abs(dense.captured_norm - reference.captured_norm) <= EQUIV_TOL
+    for key in set(dense.amplitudes) | set(reference.amplitudes):
+        got = dense.amplitudes.get(key, 0.0)
+        expected = reference.amplitudes.get(key, 0.0)
+        assert abs(got - expected) <= EQUIV_TOL, (key, got, expected)
+    assert abs(dense.total_probability() - reference.total_probability()) <= EQUIV_TOL
+
+
+def _assert_same_transform(dense, reference):
+    """The beamsplitter output and its three outcomes agree."""
+    out = apply_bs_exact(dense)
+    reference_out = support.direct_apply_bs_exact(reference)
+    _assert_same_basis(out, reference_out)
+    probs = outcome_probabilities(out)
+    reference_probs = support.direct_outcome_probabilities(reference_out)
+    assert probs.keys() == reference_probs.keys()
+    for name, p in probs.items():
+        assert abs(p - reference_probs[name]) <= EQUIV_TOL, name
+
+
+def _assert_same_route(state, k_bins):
+    dense = discretize(state, k_bins)
+    reference = support.direct_discretize(state, k_bins)
+    _assert_same_basis(dense, reference)
+    _assert_same_transform(dense, reference)
+    embedded = reconstruct(dense, state.grid)
+    reference_embedded = support.direct_reconstruct(reference, state.grid)
+    for got, expected in (
+        (embedded.f_h1v2.values, reference_embedded.f_h1v2.values),
+        (embedded.f_v1h2.values, reference_embedded.f_v1h2.values),
+    ):
+        scale = float(np.max(np.abs(expected)))
+        assert float(np.max(np.abs(got - expected))) <= EQUIV_TOL * scale
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("k_bins", [2, 8, 32])
+def test_dense_oracle_matches_the_pair_loops_on_presets(preset, k_bins):
+    _assert_same_route(load_config(preset).build_state(), k_bins)
+
+
+@st.composite
+def _grid_and_bins(draw):
+    n_points = draw(st.integers(min_value=3, max_value=16))
+    return n_points, draw(st.integers(min_value=2, max_value=n_points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), sizes=_grid_and_bins())
+def test_dense_oracle_matches_the_pair_loops_on_random_states(seed, sizes):
+    # K need not divide N: array_split then makes bins of unequal width
+    n_points, k_bins = sizes
+    state = support.make_random_state(np.random.default_rng(seed), n_points=n_points)
+    _assert_same_route(state, k_bins)
+
+
+def _random_amplitudes(rng, pairs):
+    values = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+    values /= np.linalg.norm(values)
+    return {pair: complex(v) for pair, v in zip(pairs, values)}
+
+
+def _hand_built_bases():
+    rng = np.random.default_rng(2024)
+    doubly = {(Mode(1, "H", 1), Mode(1, "H", 1)): 1.0 + 0.0j}
+    mixed = _random_amplitudes(
+        rng,
+        [
+            (Mode(1, "H", 0), Mode(1, "H", 0)),
+            (Mode(2, "V", 2), Mode(2, "V", 2)),
+            (Mode(1, "H", 0), Mode(1, "V", 2)),
+            (Mode(1, "H", 1), Mode(2, "H", 0)),
+            (Mode(2, "H", 1), Mode(2, "V", 1)),
+            (Mode(1, "V", 2), Mode(2, "H", 0)),
+            (Mode(1, "H", 2), Mode(2, "V", 1)),
+        ],
+    )
+    # every unordered pair of the 12 modes of K = 3, all four sectors
+    modes = [Mode(path, pol, k) for path in (1, 2) for pol in ("H", "V") for k in range(3)]
+    full = _random_amplitudes(
+        rng, [(a, b) for i, a in enumerate(modes) for b in modes[i:]]
+    )
+    return [(2, doubly), (3, mixed), (3, full)]
+
+
+@pytest.mark.parametrize("k_bins, amplitudes", _hand_built_bases())
+def test_dense_oracle_matches_the_pair_loops_on_hand_built_bases(k_bins, amplitudes):
+    dense = DiscreteModeBasis(
+        k_bins=k_bins, paths=(1, 2), amplitudes=amplitudes, captured_norm=1.0
+    )
+    reference = support.DictBasis(k_bins, (1, 2), dict(amplitudes), 1.0)
+    assert set(dense.amplitudes) == set(amplitudes)
+    _assert_same_basis(dense, reference)
+    _assert_same_transform(dense, reference)
+
+
+def test_basis_constructor_rejects_modes_outside_the_basis():
+    for pair in (
+        (Mode(1, "H", 0), Mode(2, "V", 2)),  # bin 2 of a 2-bin basis
+        (Mode(1, "H", 0), Mode(3, "V", 0)),  # an output path
+    ):
+        with pytest.raises(ValueError, match="not a pair of the 2-bin modes"):
+            _single_pair_basis({pair: 1.0 + 0.0j})
+    with pytest.raises(ValueError, match="paths"):
+        DiscreteModeBasis(k_bins=2, paths=(2, 1), amplitudes={}, captured_norm=1.0)
+
+
+def test_basis_amplitudes_are_read_only():
+    basis = _single_pair_basis({(Mode(1, "H", 0), Mode(2, "V", 1)): 1.0 + 0.0j})
+    with pytest.raises(TypeError):
+        basis.amplitudes[(Mode(1, "H", 1), Mode(2, "V", 0))] = 1.0
+    with pytest.raises(ValueError):
+        basis.pair_matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (Mode(1, "H", 0), Mode(1, "H", 0)),  # doubly occupied path-1 mode
+        (Mode(1, "H", 0), Mode(2, "H", 1)),  # both photons H
+    ],
+)
+def test_reconstruct_rejects_pairs_a_two_photon_state_cannot_hold(pair):
+    # Only (1H, 2V) and (1V, 2H) pairs have a TwoPhotonState amplitude.
+    grid = FrequencyGrid.centered(CENTER, 1e14, 8)
+    basis = _single_pair_basis({pair: 0.6 + 0.0j, (Mode(1, "V", 1), Mode(2, "H", 0)): 0.8})
+    with pytest.raises(ValueError, match="other mode pairs"):
+        reconstruct(basis, grid)

@@ -291,3 +291,33 @@ def test_apply_filters_rejects_filter_outside_grid():
     outside = FilterParams(center_wavelength=500e-9, fwhm=0.05e-9, shape="tophat")
     with pytest.raises(ValueError, match="filter"):
         apply_filters(state, outside)
+
+
+def test_spdc_params_reject_widths_whose_square_is_not_finite():
+    for kwargs in (
+        {"sigma_h": 1e300},
+        {"sigma_v": 1e-200},
+        {"pump_duration_fwhm": 1e-315},
+        {"pump_duration_fwhm": 1e285},
+        {"sigma_h": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            SpdcParams(**kwargs)
+    # the widest and narrowest widths that still square finitely are kept
+    SpdcParams(sigma_h=1e150, sigma_v=1e-150)
+
+
+def test_filter_params_reject_a_fwhm_not_below_the_center():
+    for fwhm in (780e-9, 2e-6):
+        with pytest.raises(ValueError, match="filter fwhm"):
+            FilterParams(center_wavelength=780e-9, fwhm=fwhm)
+    assert FilterParams(center_wavelength=780e-9, fwhm=779e-9).fwhm == 779e-9
+
+
+def test_apply_filters_rejects_a_center_outside_the_grid_span():
+    # the passband reaches the grid, but its center lies far below it
+    p = SpdcParams(t_v=0.0)
+    state = build_type2_ultrafast(p, default_grid(p))
+    broad = FilterParams(center_wavelength=1500e-9, fwhm=1000e-9, shape="gaussian")
+    with pytest.raises(ValueError, match="filter center"):
+        apply_filters(state, broad)
