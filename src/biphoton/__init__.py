@@ -24,6 +24,7 @@ from .beamsplitter import (
 from .core import (
     DEFAULT_GRID_POINTS,
     FrequencyGrid,
+    InvariantError,
     JointAmplitude,
     TwoPhotonState,
     inner_product,
@@ -81,6 +82,7 @@ __all__ = [
     "FeynmanDecomposition",
     "FilterParams",
     "FrequencyGrid",
+    "InvariantError",
     "JointAmplitude",
     "Mode",
     "SpdcParams",

@@ -42,6 +42,9 @@ from .core import (
 #: and the two 1/sqrt(2) beamsplitter factors, one per photon.
 _OUTPUT_PREFACTOR = 1.0 / (2.0 * math.sqrt(2.0))
 
+#: Below this visibility a delay scan counts as flat (see ``DelayScanCurve``).
+FLAT_VISIBILITY = 1e-9
+
 
 def apply_path1_delay(state: TwoPhotonState, delay: float) -> TwoPhotonState:
     """Retard input path 1 by ``delay`` seconds.
@@ -208,7 +211,9 @@ class DelayScanCurve:
 
     background is the mean rate over the outer 10% of the delay axis,
     extremum the sampled rate farthest from that background, and
-    visibility = |extremum - background| / background.
+    visibility = |extremum - background| / background.  A flat curve, all
+    samples within FLAT_VISIBILITY * background of the background, takes
+    the sample closest to zero delay (the earlier on a tie) as extremum.
     """
 
     delays: np.ndarray
@@ -292,7 +297,9 @@ def delay_scan(
     background = float(np.mean(np.concatenate([rates[:n_edge], rates[-n_edge:]])))
     if background <= 0.0:
         raise ValueError("scan background is zero, visibility undefined")
-    idx = int(np.argmax(np.abs(rates - background)))
+    deviation = np.abs(rates - background)
+    flat = deviation.max() < FLAT_VISIBILITY * background
+    idx = int(np.argmin(np.abs(axis)) if flat else np.argmax(deviation))
     extremum = float(rates[idx])
     return DelayScanCurve(
         delays=axis,

@@ -27,19 +27,16 @@ from .beamsplitter import (
     coincidence_probability,
     delay_scan,
 )
-from .core import FrequencyGrid, TwoPhotonState, wavelength_to_angular_frequency
+from .core import FrequencyGrid, InvariantError, TwoPhotonState, wavelength_to_angular_frequency
 from .correlation import DEFAULT_CHSH_ANGLES, chsh
 from .oracle import apply_bs_exact, discretize, outcome_probabilities, reconstruct
 from .sources import (
     FilterParams,
     SpdcParams,
-    apply_filters,
-    build_antisymmetric,
     build_bell_psi_minus,
     build_two_color,
     build_type2_ultrafast,
     gaussian_line,
-    type2_joint_envelope,
 )
 from .symmetry import DEFAULT_CLASSIFICATION_THRESHOLD, classify
 
@@ -252,13 +249,9 @@ def _build_source(source: dict, grid: FrequencyGrid) -> TwoPhotonState:
             source["bandwidth"],
             grid,
         )
-    if stype == "type2_ultrafast":
-        state = build_type2_ultrafast(source["params"], grid)
-    else:
-        state = build_antisymmetric(type2_joint_envelope(source["params"], grid))
-    if source.get("filter") is not None:
-        state = apply_filters(state, source["filter"])
-    return state
+    return build_type2_ultrafast(
+        source["params"], grid, source["filter"], antisymmetric=stype == "antisymmetric"
+    )
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -370,33 +363,22 @@ def run_scan(config: ExperimentConfig, out: Path, *, grid_points=None, epsilon=N
 
 def run_classify(config: ExperimentConfig, *, grid_points=None, out: Path | None = None) -> int:
     state = config.build_state(grid_points)
-    report = classify(
-        state,
-        threshold=config.analysis.classification_threshold,
-        chsh_angles=config.analysis.chsh_angles,
-    )
+    threshold = config.analysis.classification_threshold
+    report = classify(state, threshold=threshold, chsh_angles=config.analysis.chsh_angles)
+    numbers = {
+        "as_residual": report.as_residual,
+        "bell_residual": report.bell_residual,
+        "coincidence_at_zero_delay": report.coincidence_at_zero_delay,
+        "chsh_value": report.chsh_value,
+        "basis45_visibility": report.basis45_visibility,
+        "threshold": threshold,
+    }
     print(f"label = {report.label}")
-    print(f"as_residual = {_fmt(report.as_residual)}")
-    print(f"bell_residual = {_fmt(report.bell_residual)}")
-    print(f"coincidence_at_zero_delay = {_fmt(report.coincidence_at_zero_delay)}")
-    print(f"chsh_value = {_fmt(report.chsh_value)}")
-    print(f"basis45_visibility = {_fmt(report.basis45_visibility)}")
-    print(f"threshold = {_fmt(config.analysis.classification_threshold)}")
+    for key, value in numbers.items():
+        print(f"{key} = {_fmt(value)}")
     if out is not None:
-        _write_json(
-            out,
-            {
-                "label": report.label,
-                "as_residual": _round_for_report(report.as_residual),
-                "bell_residual": _round_for_report(report.bell_residual),
-                "coincidence_at_zero_delay": _round_for_report(
-                    report.coincidence_at_zero_delay
-                ),
-                "chsh_value": _round_for_report(report.chsh_value),
-                "basis45_visibility": _round_for_report(report.basis45_visibility),
-                "threshold": _round_for_report(config.analysis.classification_threshold),
-            },
-        )
+        rounded = {key: _round_for_report(value) for key, value in numbers.items()}
+        _write_json(out, {"label": report.label, **rounded})
         print(f"report = {out}")
     return EXIT_OK
 
@@ -408,13 +390,8 @@ def run_chsh(config: ExperimentConfig, *, grid_points=None, out: Path | None = N
     print(f"chsh_value = {_fmt(s_value)}")
     print(f"angles_rad = {','.join(_fmt(a) for a in angles)}")
     if out is not None:
-        _write_json(
-            out,
-            {
-                "chsh_value": _round_for_report(s_value),
-                "angles_rad": [_round_for_report(a) for a in angles],
-            },
-        )
+        rounded = [_round_for_report(a) for a in angles]
+        _write_json(out, {"chsh_value": _round_for_report(s_value), "angles_rad": rounded})
         print(f"report = {out}")
     return EXIT_OK
 
@@ -515,30 +492,21 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.grid_points is not None and args.grid_points < 2:
             raise ConfigError(f"--grid-points must be at least 2, got {args.grid_points}")
+        out = Path(args.out) if args.out else None
         if args.command == "scan":
             if args.epsilon is not None and not 0.0 <= args.epsilon <= 1.0:
                 raise ConfigError(f"--epsilon must lie in [0, 1], got {args.epsilon}")
-            return run_scan(
-                config,
-                Path(args.out),
-                grid_points=args.grid_points,
-                epsilon=args.epsilon,
-            )
+            return run_scan(config, out, grid_points=args.grid_points, epsilon=args.epsilon)
         if args.command == "classify":
-            return run_classify(
-                config,
-                grid_points=args.grid_points,
-                out=Path(args.out) if args.out else None,
-            )
+            return run_classify(config, grid_points=args.grid_points, out=out)
         if args.command == "chsh":
-            return run_chsh(
-                config,
-                grid_points=args.grid_points,
-                out=Path(args.out) if args.out else None,
-            )
+            return run_chsh(config, grid_points=args.grid_points, out=out)
         if args.command == "oracle-check":
             return run_oracle_check(config, args.bins, grid_points=args.grid_points)
         raise AssertionError(f"unhandled command {args.command!r}")
+    except InvariantError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ValueError as exc:
         # Library preconditions triggered by configuration values land
         # here too (grid too narrow, scan span too small, ...).

@@ -214,9 +214,13 @@ def require_normalized(state: TwoPhotonState, tol: float = NORMALIZATION_TOL) ->
     _require_unit_norm(state.norm_squared(), tol)
 
 
+class InvariantError(ValueError):
+    """A state broke a library invariant, such as its unit normalization."""
+
+
 def _require_unit_norm(total: float, tol: float) -> None:
     if abs(total - 1.0) > tol:
-        raise ValueError(
+        raise InvariantError(
             f"state is not normalized: (1/2)(||f1||^2 + ||f2||^2) = {total!r}"
         )
 

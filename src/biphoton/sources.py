@@ -14,14 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DEFAULT_GRID_POINTS,
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
-    _weights_2d,
-    normalize,
     wavelength_to_angular_frequency,
 )
 
@@ -160,23 +159,29 @@ def gaussian_line(
     return g
 
 
-def _check_grid_wide_enough(values: np.ndarray, what: str) -> None:
-    # Compare boundary magnitude against the interior peak; phases cancel.
-    mags = np.abs(values)
+def _check_grid_wide_enough(mags: np.ndarray, what: str) -> None:
+    # Compare the boundary magnitude |F| against the interior peak.
     peak = float(mags.max())
     if peak == 0.0:
         raise ValueError(f"{what} vanishes everywhere on the grid")
-    edge = max(
-        float(mags[0, :].max()),
-        float(mags[-1, :].max()),
-        float(mags[:, 0].max()),
-        float(mags[:, -1].max()),
-    )
+    edge = float(max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max()))
     if edge > EDGE_FRACTION_TOL * peak:
         raise ValueError(
             f"grid too narrow for {what}: boundary amplitude is {edge / peak:.3e} "
             f"of the peak (limit {EDGE_FRACTION_TOL:.1e}); widen the grid"
         )
+
+
+def _type2_factors(params: SpdcParams, grid: FrequencyGrid):
+    """|F|[i, j] = g_h[i] g_v[j] pump[i + j] of the type-II envelope: the pump
+    depends only on w_H + w_V, so its 2N - 1 values fill |F| as a Hankel view."""
+    x = grid.points() - params.photon_center_frequency
+    sums = np.concatenate((x[0] + x, x[-1] + x[1:]))
+    g_h, g_v = (np.exp(-(x * x) / (4.0 * s**2)) for s in (params.sigma_h, params.sigma_v))
+    pump = np.exp(-(sums * sums) / (4.0 * params.pump_sigma**2))
+    magnitude = np.outer(g_h, g_v)
+    magnitude *= sliding_window_view(pump, grid.n_points)
+    return g_h, g_v, pump, magnitude
 
 
 def type2_joint_envelope(params: SpdcParams, grid: FrequencyGrid) -> JointAmplitude:
@@ -189,16 +194,18 @@ def type2_joint_envelope(params: SpdcParams, grid: FrequencyGrid) -> JointAmplit
     the Gaussian pump envelope around the pump frequency.  Not normalized.
     """
     w = grid.points()
-    w0 = params.photon_center_frequency
-    g_h = np.exp(-((w - w0) ** 2) / (4.0 * params.sigma_h**2))
-    g_v = np.exp(-((w - w0) ** 2) / (4.0 * params.sigma_v**2))
-    sum_freq = w[:, None] + w[None, :]
-    pump = np.exp(-((sum_freq - 2.0 * w0) ** 2) / (4.0 * params.pump_sigma**2))
-    phases = np.exp(1j * (w * params.t_h)[:, None] + 1j * (w * params.t_v)[None, :])
-    return JointAmplitude(grid, g_h[:, None] * g_v[None, :] * pump * phases)
+    values = np.outer(np.exp(1j * w * params.t_h), np.exp(1j * w * params.t_v))
+    values *= _type2_factors(params, grid)[3]
+    return JointAmplitude(grid, values)
 
 
-def build_type2_ultrafast(params: SpdcParams, grid: FrequencyGrid) -> TwoPhotonState:
+def build_type2_ultrafast(
+    params: SpdcParams,
+    grid: FrequencyGrid,
+    filt: FilterParams | None = None,
+    *,
+    antisymmetric: bool = False,
+) -> TwoPhotonState:
     """Biphoton state of the pulsed type-II source.
 
     Both emission alternatives share the envelope of
@@ -211,19 +218,31 @@ def build_type2_ultrafast(params: SpdcParams, grid: FrequencyGrid) -> TwoPhotonS
     rides in path 2 -- omega_V in the first term, omega_H in the second --
     by exp(i omega delay), breaking the exchange antisymmetry that an
     identical-arms minus configuration (phi = pi) satisfies exactly.
+    ``filt`` filters both photons as ``apply_filters`` does.  With
+    ``antisymmetric`` the state is ``build_antisymmetric`` of F instead
+    (f_v1h2 = -f_h1v2 exactly; phi and the arm-2 delay are not used).
     """
-    envelope = type2_joint_envelope(params, grid)
-    _check_grid_wide_enough(envelope.values, "the joint spectral envelope")
-    f1 = envelope.values
-    f2 = np.exp(-1j * params.phi) * f1
-    delay = params.extra_group_delay_arm2
-    if delay != 0.0:
-        arm2_phase = np.exp(1j * grid.points() * delay)
-        f1 = f1 * arm2_phase[None, :]
-        f2 = f2 * arm2_phase[:, None]
-    return normalize(
-        TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
-    )
+    g_h, g_v, pump, magnitude = _type2_factors(params, grid)
+    _check_grid_wide_enough(magnitude, "the joint spectral envelope")
+    w = grid.trapezoid_weights()
+
+    def norm_with(tau) -> float:
+        # sum_ij w_i w_j tau_i tau_j |F[i, j]|^2, a convolution against pump^2
+        return float((pump * pump) @ np.convolve(w * tau * g_h**2, w * tau * g_v**2))
+
+    t, total = _filter_transmission(filt, grid, norm_with) if filt else (1.0, norm_with(1.0))
+    points = grid.points()
+    row = (t / math.sqrt(total)) * np.exp(1j * points * params.t_h)
+    col = t * np.exp(1j * points * params.t_v)
+    arm2 = 1.0 if antisymmetric else np.exp(1j * points * params.extra_group_delay_arm2)
+    f1 = np.outer(row, col * arm2)
+    f1 *= magnitude
+    if antisymmetric:
+        f2 = -f1
+    else:
+        f2 = np.outer(np.exp(-1j * params.phi) * row * arm2, col)
+        f2 *= magnitude
+    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
 
 
 def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
@@ -232,15 +251,15 @@ def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
     Sets f_v1h2 = -f_h1v2 by exact negation, so the coincidence peak
     condition holds identically on the grid regardless of the envelope.
     """
-    _check_grid_wide_enough(envelope.values, "the joint spectral envelope")
+    mags = np.abs(envelope.values)
+    _check_grid_wide_enough(mags, "the joint spectral envelope")
     # State norm is 0.5 (|f1|^2 + |f2|^2) = |envelope|^2 here.
-    total = float(np.sum(_weights_2d(envelope.grid) * np.abs(envelope.values) ** 2))
+    w = envelope.grid.trapezoid_weights()
+    total = float(w @ (mags * mags) @ w)
     if total <= 0.0:
         raise ValueError("envelope must be nonzero")
     f1 = envelope.values / math.sqrt(total)
-    return TwoPhotonState(
-        JointAmplitude(envelope.grid, f1), JointAmplitude(envelope.grid, -f1)
-    )
+    return TwoPhotonState(JointAmplitude(envelope.grid, f1), JointAmplitude(envelope.grid, -f1))
 
 
 def build_bell_psi_minus(
@@ -263,23 +282,20 @@ def build_bell_psi_minus(
     if g1.shape != (grid.n_points,) or g2.shape != (grid.n_points,):
         raise ValueError("envelopes must be 1D arrays sampled on the grid")
     w = grid.trapezoid_weights()
+    total = 1.0  # both terms have norm^2 ||g1||^2 ||g2||^2
     for name, g in (("envelope1", g1), ("envelope2", g2)):
-        total = float(np.sum(w * np.abs(g) ** 2))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"{name} is not normalized: integral |g|^2 = {total!r}")
+        norm = float(np.sum(w * np.abs(g) ** 2))
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"{name} is not normalized: integral |g|^2 = {norm!r}")
+        total *= norm
+    g1 = g1 / math.sqrt(total)
     f1 = np.outer(g1, g2)
-    f2 = -np.outer(g2, g1)
-    state = TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
-    _check_grid_wide_enough(f1, "the Bell-state envelope")
-    return normalize(state)
+    _check_grid_wide_enough(np.abs(f1), "the Bell-state envelope")
+    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, -np.outer(g2, g1)))
 
 
 def build_two_color(
-    case: str,
-    red_center: float,
-    blue_center: float,
-    bandwidth: float,
-    grid: FrequencyGrid,
+    case: str, red_center: float, blue_center: float, bandwidth: float, grid: FrequencyGrid
 ) -> TwoPhotonState:
     """Two-color gedanken states separating the two spectral symmetries.
 
@@ -299,28 +315,18 @@ def build_two_color(
             "color separation must exceed 10x the bandwidth: "
             f"|{red_center} - {blue_center}| <= 10 * {bandwidth}"
         )
+    # Unit lines: both terms have norm^2 ||red||^2 ||blue||^2 = 1.
     red = gaussian_line(grid, red_center, bandwidth)
     blue = gaussian_line(grid, blue_center, bandwidth)
     f1 = np.outer(red, blue)
     _check_grid_wide_enough(f1, "the two-color envelope")
-    if case == "i":
-        f2 = -f1
-    else:
-        f2 = -np.outer(blue, red)
-    return normalize(
-        TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
-    )
+    f2 = -f1 if case == "i" else -np.outer(blue, red)
+    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
 
 
-def apply_filters(state: TwoPhotonState, filt: FilterParams) -> TwoPhotonState:
-    """Apply an identical spectral filter to both photons and renormalize.
-
-    The amplitude transmission multiplies each frequency argument of both
-    amplitudes, so both exchange and path-label symmetries are preserved.
-    A filter centered outside the grid's frequency span, or one whose
-    passband transmits nothing the grid holds, is rejected.
-    """
-    grid = state.grid
+def _filter_transmission(filt: FilterParams, grid: FrequencyGrid, norm_with):
+    """Transmission t of ``filt`` on the grid and the norm^2 it keeps, where
+    ``norm_with(tau)`` is the norm^2 with each axis's intensity weighted by tau."""
     center = filt.center_frequency
     if not grid.omega_min <= center <= grid.omega_max:
         raise ValueError(
@@ -334,15 +340,28 @@ def apply_filters(state: TwoPhotonState, filt: FilterParams) -> TwoPhotonState:
         t = np.exp(-2.0 * math.log(2.0) * (x / width) ** 2)
     else:
         t = (np.abs(x) <= 0.5 * width).astype(np.float64)
-    t2d = t[:, None] * t[None, :]
-    filtered = TwoPhotonState(
-        JointAmplitude(state.grid, state.f_h1v2.values * t2d),
-        JointAmplitude(state.grid, state.f_v1h2.values * t2d),
-    )
-    survived = filtered.norm_squared()
-    if survived <= 1e-12 * state.norm_squared():
+    kept, total = norm_with(t * t), norm_with(1.0)
+    if kept <= 1e-12 * total:
         raise ValueError(
             "filter support lies outside the grid: transmitted norm^2 "
-            f"fraction is {survived!r}"
+            f"fraction is {kept / total if total else 0.0!r}"
         )
-    return normalize(filtered)
+    return t, kept
+
+
+def apply_filters(state: TwoPhotonState, filt: FilterParams) -> TwoPhotonState:
+    """Apply an identical spectral filter to both photons and renormalize.
+
+    The amplitude transmission multiplies each frequency argument of both
+    amplitudes, so both exchange and path-label symmetries are preserved.
+    A filter centered outside the grid's frequency span, or one whose
+    passband transmits nothing the grid holds, is rejected.
+    """
+    grid, f1, f2 = state.grid, state.f_h1v2.values, state.f_v1h2.values
+    intensity = 0.5 * (np.abs(f1) ** 2 + np.abs(f2) ** 2)
+    w = grid.trapezoid_weights()
+    t, kept = _filter_transmission(
+        filt, grid, lambda tau: float((w * tau) @ intensity @ (w * tau))
+    )
+    t2d = np.outer(t, t) / math.sqrt(kept)  # symmetric bit for bit
+    return TwoPhotonState(JointAmplitude(grid, f1 * t2d), JointAmplitude(grid, f2 * t2d))

@@ -6,7 +6,9 @@ quadrature (2x2 Gaussian moment algebra), so tests can pin library
 outputs against numbers that do not come from the code under test.  The
 ``direct_*`` functions evaluate the polarization and symmetry observables
 the long way, one N^2 quadrature of the defining integrand per angle, as
-the reference for the library's closed forms.  ``direct_discretize``,
+the reference for the library's closed forms; ``direct_type2_state``
+builds the type-II state from its N^2 formula, the reference for the
+library's factored build.  ``direct_discretize``,
 ``direct_apply_bs_exact``, ``direct_outcome_probabilities`` and
 ``direct_reconstruct`` are the discrete-mode oracle written as per-pair
 dict loops over mode pairs, the reference for the library's dense pair
@@ -130,6 +132,46 @@ def make_piecewise_constant_state(
         TwoPhotonState(
             JointAmplitude(grid, values[0]), JointAmplitude(grid, values[1])
         )
+    )
+
+
+def direct_type2_state(
+    params, grid: FrequencyGrid, filt=None, antisymmetric: bool = False
+) -> TwoPhotonState:
+    """The type-II state from its defining N^2 formula, the reference for
+    the library's factored build: the pump evaluated on the 2D sum
+    frequency w_i + w_j, 2D emission-time and arm-2 phases, the filter as
+    t (x) t on both amplitudes, and one normalization with 2D weights.
+    ``antisymmetric`` makes f_v1h2 = -f_h1v2 (the ``antisymmetric`` source).
+    """
+    w = grid.points()
+    w0 = params.photon_center_frequency
+    g_h = np.exp(-((w - w0) ** 2) / (4.0 * params.sigma_h**2))
+    g_v = np.exp(-((w - w0) ** 2) / (4.0 * params.sigma_v**2))
+    sum_freq = w[:, None] + w[None, :]
+    pump = np.exp(-((sum_freq - 2.0 * w0) ** 2) / (4.0 * params.pump_sigma**2))
+    phases = np.exp(1j * (w * params.t_h)[:, None] + 1j * (w * params.t_v)[None, :])
+    envelope = g_h[:, None] * g_v[None, :] * pump * phases
+    if antisymmetric:
+        f1, f2 = envelope, -envelope
+    else:
+        arm2 = np.exp(1j * w * params.extra_group_delay_arm2)
+        f1 = envelope * arm2[None, :]
+        f2 = np.exp(-1j * params.phi) * envelope * arm2[:, None]
+    if filt is not None:
+        x = w - filt.center_frequency
+        if filt.shape == "gaussian":
+            t = np.exp(-2.0 * math.log(2.0) * (x / filt.fwhm_frequency) ** 2)
+        else:
+            t = (np.abs(x) <= 0.5 * filt.fwhm_frequency).astype(np.float64)
+        t2d = t[:, None] * t[None, :]
+        f1, f2 = f1 * t2d, f2 * t2d
+    weights = grid.trapezoid_weights()
+    w2d = np.outer(weights, weights)
+    total = 0.5 * float(np.sum(w2d * (np.abs(f1) ** 2 + np.abs(f2) ** 2)))
+    scale = 1.0 / math.sqrt(total)
+    return TwoPhotonState(
+        JointAmplitude(grid, f1 * scale), JointAmplitude(grid, f2 * scale)
     )
 
 

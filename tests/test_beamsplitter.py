@@ -27,6 +27,7 @@ from biphoton import (
     normalize,
     wavelength_to_angular_frequency,
 )
+from biphoton.beamsplitter import FLAT_VISIBILITY
 from biphoton.cli import list_presets, load_config
 
 CENTER = wavelength_to_angular_frequency(780e-9)
@@ -347,3 +348,43 @@ def test_feynman_overlap_of_vanishing_alternative_is_zero():
     parts = feynman_decomposition(state)
     assert parts.overlap_14 == 0.0
     assert parts.overlap_23 == 0.0
+
+
+def _closest_to_zero(axis) -> float:
+    axis = np.sort(np.asarray(axis))
+    return float(axis[np.argmin(np.abs(axis))])
+
+
+def test_flat_scan_reports_its_extremum_at_the_sample_closest_to_zero_delay():
+    # color tied to path: the two alternatives never overlap, so the curve
+    # is flat and its deviations from the background are rounding noise
+    config = load_config("two_color_path")
+    state = config.build_state()
+    delays = config.scan.delays()
+    curve = delay_scan(state, delays)
+    assert curve.visibility < FLAT_VISIBILITY
+    assert curve.extremum_delay == _closest_to_zero(delays)
+    # a global phase changes only the rounding of every sum, not the answer
+    phase = np.exp(0.3j)
+    rephased = TwoPhotonState(
+        JointAmplitude(state.grid, phase * state.f_h1v2.values),
+        JointAmplitude(state.grid, phase * state.f_v1h2.values),
+    )
+    assert delay_scan(rephased, delays).extremum_delay == curve.extremum_delay
+    # without a zero sample the nearest one is reported
+    shifted = delays + 1.5e-15
+    assert delay_scan(state, shifted).extremum_delay == _closest_to_zero(shifted)
+
+
+def test_visibility_floor_separates_flat_from_faint_curves():
+    # the dip of uncompensated_dip sits at +30 fs; damping it below the
+    # floor makes the curve flat, damping it less keeps the dip position
+    config = load_config("uncompensated_dip")
+    state = config.build_state()
+    delays = config.scan.delays()
+    faint = delay_scan(state, delays, mode_overlap=1e-6)
+    assert faint.visibility > FLAT_VISIBILITY
+    assert abs(faint.extremum_delay - 30e-15) <= 2.5e-15
+    flat = delay_scan(state, delays, mode_overlap=1e-12)
+    assert flat.visibility < FLAT_VISIBILITY
+    assert flat.extremum_delay == _closest_to_zero(delays)

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from biphoton import apply_path1_delay, coherence_time, discretize
+from biphoton import (
+    InvariantError,
+    JointAmplitude,
+    TwoPhotonState,
+    apply_path1_delay,
+    coherence_time,
+    discretize,
+    require_normalized,
+)
 from biphoton.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -500,3 +508,33 @@ def test_filter_far_from_the_grid_is_a_config_error(tmp_path, capsys, filter_blo
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG, captured.out
     assert captured.err.startswith("config error:") and "filter" in captured.err
+
+
+def test_unnormalized_state_is_an_invariant_failure_not_a_config_error(monkeypatch, capsys):
+    import biphoton.cli as cli_module
+
+    real = cli_module._build_source
+
+    def doubled(source, grid):
+        state = real(source, grid)
+        return TwoPhotonState(
+            JointAmplitude(grid, 2.0 * state.f_h1v2.values),
+            JointAmplitude(grid, 2.0 * state.f_v1h2.values),
+        )
+
+    monkeypatch.setattr(cli_module, "_build_source", doubled)
+    code = main(["classify", "--config", "uncompensated_peak"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert captured.err.startswith("invariant failure: state is not normalized"), captured.err
+    assert captured.out == ""
+
+
+def test_invariant_error_is_a_value_error_raised_by_the_norm_check():
+    state = parse_config(_config_with_source("type2_ultrafast")).build_state()
+    tripled = TwoPhotonState(
+        JointAmplitude(state.grid, 3.0 * state.f_h1v2.values), state.f_v1h2
+    )
+    with pytest.raises(InvariantError, match="not normalized"):
+        require_normalized(tripled)
+    assert issubclass(InvariantError, ValueError)

@@ -321,3 +321,93 @@ def test_apply_filters_rejects_a_center_outside_the_grid_span():
     broad = FilterParams(center_wavelength=1500e-9, fwhm=1000e-9, shape="gaussian")
     with pytest.raises(ValueError, match="filter center"):
         apply_filters(state, broad)
+
+
+def _peak_relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+_FILTERS = {
+    "none": None,
+    "gaussian": FilterParams(center_wavelength=780e-9, fwhm=20e-9, shape="gaussian"),
+    "tophat": FilterParams(center_wavelength=780e-9, fwhm=20e-9, shape="tophat"),
+}
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("filter_name", sorted(_FILTERS))
+@pytest.mark.parametrize("delay", [0.0, 25e-15])
+@pytest.mark.parametrize("phi", [0.0, math.pi, 1.0])
+def test_factored_type2_build_matches_the_direct_formula(phi, delay, filter_name, n_points):
+    p = SpdcParams(phi=phi, extra_group_delay_arm2=delay)
+    grid = default_grid(p, n_points)
+    filt = _FILTERS[filter_name]
+    built = build_type2_ultrafast(p, grid, filt)
+    direct = support.direct_type2_state(p, grid, filt)
+    assert is_normalized(built)
+    for ours, reference in ((built.f_h1v2, direct.f_h1v2), (built.f_v1h2, direct.f_v1h2)):
+        assert _peak_relative_error(ours.values, reference.values) <= 1e-12
+    if filt is not None:
+        # the folded filter equals filtering the unfiltered build afterwards
+        refiltered = apply_filters(build_type2_ultrafast(p, grid), filt)
+        assert _peak_relative_error(built.f_v1h2.values, refiltered.f_v1h2.values) <= 1e-12
+
+
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("filter_name", sorted(_FILTERS))
+def test_factored_antisymmetric_build_matches_the_direct_formula(filter_name, n_points):
+    p = SpdcParams()
+    grid = default_grid(p, n_points)
+    filt = _FILTERS[filter_name]
+    built = build_type2_ultrafast(p, grid, filt, antisymmetric=True)
+    direct = support.direct_type2_state(p, grid, filt, antisymmetric=True)
+    assert is_normalized(built)
+    assert _peak_relative_error(built.f_h1v2.values, direct.f_h1v2.values) <= 1e-12
+    np.testing.assert_array_equal(built.f_v1h2.values, -built.f_h1v2.values)
+    # the library's own two-step route builds the same state
+    two_step = build_antisymmetric(type2_joint_envelope(p, grid))
+    if filt is not None:
+        two_step = apply_filters(two_step, filt)
+    assert _peak_relative_error(built.f_h1v2.values, two_step.f_h1v2.values) <= 1e-12
+
+
+@pytest.mark.parametrize("antisymmetric", [False, True])
+def test_factored_build_matches_the_direct_formula_on_an_off_center_grid(antisymmetric):
+    # a grid centered away from the degenerate frequency makes the pump's
+    # 2N - 1 values asymmetric, so a transposed or reversed pump shows
+    p = SpdcParams(phi=1.0, extra_group_delay_arm2=25e-15)
+    grid = FrequencyGrid.centered(p.photon_center_frequency + 1e14, 5e14, 256)
+    filt = _FILTERS["gaussian"]
+    built = build_type2_ultrafast(p, grid, filt, antisymmetric=antisymmetric)
+    direct = support.direct_type2_state(p, grid, filt, antisymmetric=antisymmetric)
+    for ours, reference in ((built.f_h1v2, direct.f_h1v2), (built.f_v1h2, direct.f_v1h2)):
+        assert _peak_relative_error(ours.values, reference.values) <= 1e-12
+
+
+def test_factored_envelope_matches_the_direct_formula():
+    p = SpdcParams(phi=1.0)
+    grid = default_grid(p)
+    direct = support.direct_type2_state(p, grid, antisymmetric=True).f_h1v2.values
+    envelope = type2_joint_envelope(p, grid).values
+    # the direct state is the envelope scaled by a real positive constant
+    scale = np.abs(direct).max() / np.abs(envelope).max()
+    assert _peak_relative_error(scale * envelope, direct) <= 1e-12
+
+
+@pytest.mark.parametrize("antisymmetric", [False, True])
+def test_factored_build_keeps_its_rejections(antisymmetric):
+    p = SpdcParams()
+    narrow = FrequencyGrid.centered(p.photon_center_frequency, 1.0e14, 64)
+    with pytest.raises(ValueError, match="grid too narrow for the joint spectral envelope"):
+        build_type2_ultrafast(p, narrow, antisymmetric=antisymmetric)
+    grid = default_grid(p, 64)
+    off_grid = FilterParams(center_wavelength=1500e-9, fwhm=1000e-9)
+    with pytest.raises(ValueError, match="filter center .* lies outside the grid's frequency span"):
+        build_type2_ultrafast(p, grid, off_grid, antisymmetric=antisymmetric)
+    # centered on the grid, but a passband narrower than the step between
+    # two grid points transmits nothing
+    between_points = FilterParams(center_wavelength=780e-9, fwhm=1e-13, shape="tophat")
+    with pytest.raises(ValueError, match="filter support lies outside the grid"):
+        build_type2_ultrafast(p, grid, between_points, antisymmetric=antisymmetric)
+    with pytest.raises(ValueError, match="filter support lies outside the grid"):
+        apply_filters(build_type2_ultrafast(p, grid), between_points)
