@@ -12,14 +12,13 @@ on input path 1, applied before the transform as a phase e^{i w delay} on
 whichever frequency factor rides in path 1 (w_H in the f_h1v2 term, w_V in
 the f_v1h2 term).  Positive delay retards path 1.
 
-The delay enters the coincidence rate only through the cross term, and
-only as e^{i (w_V - w_H) delay}.  ``delay_scan`` therefore sums that term
-once along the 2N - 1 diagonals of the grid: a scan of K delays costs one
-N^2 pass plus O(K N), where ``coincidence_probability`` makes one N^2
-pass per delay.  On the grid w_V - w_H is a multiple of the step dw, so
-the cross term is periodic in the delay with period 2 pi / dw: a delay
-beyond the alias delay pi / dw gives the same rate as that delay shifted
-by 2 pi / dw back towards zero.
+The delay enters the coincidence rate only through the cross term, as
+e^{i (w_V - w_H) delay}, so rates and the coherence time are closed forms
+of one ``core.StateSpectra`` (sums along the diagonals w_V - w_H = k dw):
+one N^2 pass per call, and one for a whole ``delay_scan``.  The cross term
+is thus periodic in the delay with period 2 pi / dw: a delay beyond the
+alias delay pi / dw gives the same rate as that delay shifted by 2 pi / dw
+back towards zero.
 """
 
 from __future__ import annotations
@@ -32,10 +31,11 @@ import numpy as np
 from .core import (
     FrequencyGrid,
     JointAmplitude,
+    StateSpectra,
     TwoPhotonState,
-    _weights_2d,
     inner_product,
     norm_squared,
+    spectra,
 )
 
 #: 1 / (2 sqrt(2)): product of the 1/sqrt(2) state normalization prefactor
@@ -148,9 +148,13 @@ def bs_transform(state: TwoPhotonState, delay: float = 0.0) -> BsOutputState:
     )
 
 
-def _require_mode_overlap(mode_overlap: float) -> None:
+def _checked_delays(delays, mode_overlap: float) -> np.ndarray:
     if not 0.0 <= mode_overlap <= 1.0:
         raise ValueError(f"mode_overlap must lie in [0, 1], got {mode_overlap}")
+    axis = np.asarray(delays, dtype=np.float64)
+    if not np.all(np.isfinite(axis)):
+        raise ValueError("delays must be finite")
+    return axis
 
 
 def coincidence_probability(
@@ -159,47 +163,42 @@ def coincidence_probability(
     """Probability of one photon in each output path.
 
     For perfect mode overlap this is the norm of the two coincidence
-    channels,
+    channels (n_k = ||F_k||^2), evaluated like ``delay_scan``:
 
         P_cc = (1/4) integral |F1(delay) - F2(delay)|^2
              = (n1 + n2)/4 - (1/2) Re <F1(delay), F2(delay)>
 
-    with n_k the squared amplitude norms.  ``mode_overlap`` is a single
-    scalar in [0, 1] multiplying only the interference cross term; it
-    models imperfect spatial overlap at the beamsplitter, which damps the
-    peak or dip without moving the background.
+    ``mode_overlap`` in [0, 1] multiplies only the interference cross
+    term; it models imperfect spatial overlap at the beamsplitter, which
+    damps the peak or dip without moving the background.
     """
-    _require_mode_overlap(mode_overlap)
-    v1, v2 = _delayed_pair(state, delay)
-    w2d = _weights_2d(state.grid)
-    background = 0.25 * float(
-        np.sum(w2d * (np.abs(v1) ** 2 + np.abs(v2) ** 2))
-    )
-    cross = float(np.sum(w2d * (np.conj(v1) * v2)).real)
-    p = background - 0.5 * mode_overlap * cross
+    delays = _checked_delays([delay], mode_overlap)
+    return float(_rates(spectra(state), delays, mode_overlap)[0])
+
+
+def _rates(spec: StateSpectra, delays: np.ndarray, mode_overlap: float) -> np.ndarray:
+    # One delay at a time keeps the transient at O(N), not O(K N).
+    cross = np.array([(np.exp(1j * tau * spec.offsets) @ spec.cross).real for tau in delays])
     # Clamp double-precision residue just outside [0, 1].
-    return min(max(p, 0.0), 1.0)
+    return np.clip(0.5 * float(np.sum(spec.intensity)) - 0.5 * mode_overlap * cross, 0.0, 1.0)
 
 
 def coherence_time(state: TwoPhotonState) -> float:
     """RMS coherence time of the two-photon interference feature.
 
-    The delay dependence of the coincidence rate enters only through the
-    frequency difference v = w_V - w_H, so the feature width is the
-    inverse RMS spread of v under the joint spectral intensity
-    (|f_h1v2|^2 + |f_v1h2|^2)/2.
+    The delay enters the coincidence rate only through v = w_V - w_H, so
+    the feature width is the inverse RMS spread of v under the intensity
+    (|f_h1v2|^2 + |f_v1h2|^2)/2: the moments of I_k over v = k dw.
     """
-    w2d = _weights_2d(state.grid)
-    intensity = w2d * 0.5 * (
-        np.abs(state.f_h1v2.values) ** 2 + np.abs(state.f_v1h2.values) ** 2
-    )
-    total = float(np.sum(intensity))
+    return _coherence_time(spectra(state))
+
+
+def _coherence_time(spec: StateSpectra) -> float:
+    total = float(np.sum(spec.intensity))
     if total <= 0.0:
         raise ValueError("state has zero norm, coherence time undefined")
-    pts = state.grid.points()
-    v = pts[None, :] - pts[:, None]
-    mean = float(np.sum(intensity * v)) / total
-    var = float(np.sum(intensity * (v - mean) ** 2)) / total
+    mean = float(np.sum(spec.intensity * spec.offsets)) / total
+    var = float(np.sum(spec.intensity * (spec.offsets - mean) ** 2)) / total
     if var <= 0.0:
         raise ValueError("frequency-difference spread is zero, coherence time undefined")
     return 1.0 / math.sqrt(var)
@@ -232,28 +231,7 @@ class DelayScanCurve:
         return [(float(d), float(r)) for d, r in zip(self.delays, self.rates)]
 
 
-def _cross_spectrum(state: TwoPhotonState) -> np.ndarray:
-    """Diagonal sums of the weighted cross term w_i w_j conj(F1[i, j]) F2[i, j].
-
-    Entry k + N - 1 is c_k, the sum over the diagonal j - i = k, for
-    k = -(N-1) .. N-1.
-    """
-    n = state.grid.n_points
-    product = np.conj(state.f_h1v2.values)
-    product *= state.f_v1h2.values
-    product *= _weights_2d(state.grid)
-    offset = (np.arange(n) - np.arange(n)[:, None] + (n - 1)).ravel()
-    real = np.bincount(offset, product.real.ravel(), minlength=2 * n - 1)
-    imag = np.bincount(offset, product.imag.ravel(), minlength=2 * n - 1)
-    return real + 1j * imag
-
-
-def delay_scan(
-    state: TwoPhotonState,
-    delays,
-    *,
-    mode_overlap: float = 1.0,
-) -> DelayScanCurve:
+def delay_scan(state: TwoPhotonState, delays, *, mode_overlap: float = 1.0) -> DelayScanCurve:
     """Scan the path-1 delay and extract background, extremum, visibility.
 
     The delay list must reach at least 10 coherence times on each side of
@@ -261,38 +239,26 @@ def delay_scan(
     background; otherwise the scan is rejected.  Samples are evaluated in
     ascending delay order.
 
-    A path-1 delay tau multiplies conj(F1) F2 at (w_H, w_V) by
-    e^{i (w_V - w_H) tau}, so with c_k the diagonal sums of the weighted
-    cross term w_i w_j conj(F1[i, j]) F2[i, j] over j - i = k,
+    A path-1 delay tau multiplies conj(F1) F2 by e^{i (w_V - w_H) tau}, so
+    with c_k and I_k of ``core.StateSpectra`` and dw the grid step,
 
-        P_cc(tau) = (n1 + n2)/4 - (1/2) mode_overlap Re sum_k c_k e^{i k dw tau}
+        P_cc(tau) = (1/2) sum_k I_k - (1/2) mode_overlap Re sum_k c_k e^{i k dw tau}
 
-    with dw the grid step.  The scan makes one cross-spectrum pass over
-    the grid plus O(K N) work for K delays, and each rate equals
-    ``coincidence_probability`` at that delay up to rounding.
+    One spectra pass gives the coherence time and every rate, each equal
+    bit for bit to ``coincidence_probability`` at that delay.
     """
-    _require_mode_overlap(mode_overlap)
-    axis = np.asarray(delays, dtype=np.float64)
+    axis = _checked_delays(delays, mode_overlap)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError("delays must be a 1D sequence with at least 2 entries")
-    if not np.all(np.isfinite(axis)):
-        raise ValueError("delays must be finite")
-    tau_c = coherence_time(state)
-    span_needed = 10.0 * tau_c
+    spec = spectra(state)
+    span_needed = 10.0 * _coherence_time(spec)
     if axis.min() > -span_needed or axis.max() < span_needed:
         raise ValueError(
             "delay span must reach +-10 coherence times "
             f"(+-{span_needed:.3e} s); got [{axis.min():.3e}, {axis.max():.3e}] s"
         )
     axis = np.sort(axis)
-    incoherent = 0.25 * (norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2))
-    cross = _cross_spectrum(state)
-    n = state.grid.n_points
-    offsets = np.arange(1 - n, n) * state.grid.step
-    # One delay at a time keeps the transient at O(N), not O(K N).
-    interference = np.array([(np.exp(1j * tau * offsets) @ cross).real for tau in axis])
-    # Clamp double-precision residue just outside [0, 1].
-    rates = np.clip(incoherent - 0.5 * mode_overlap * interference, 0.0, 1.0)
+    rates = _rates(spec, axis, mode_overlap)
     n_edge = max(1, int(round(0.05 * axis.size)))
     background = float(np.mean(np.concatenate([rates[:n_edge], rates[-n_edge:]])))
     if background <= 0.0:

@@ -23,7 +23,11 @@ read
 
 where ``swap`` transposes the two frequency arguments.
 
-All integrals are 2D trapezoidal quadratures on the shared grid.  The state
+All integrals are 2D trapezoidal quadratures on the shared grid with the
+separable weight w_i w_j: ``norm_squared`` and ``inner_product`` sum
+w^T X w, and ``reductions`` (polarization, symmetry) and ``spectra``
+(coincidence rates, coherence time) each walk the state once in row blocks
+scaled by sqrt(w_i w_j), so no N x N weight array is built.  The state
 normalization convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the
 1/2 carrying the global prefactor of the two-term superposition.
 """
@@ -93,11 +97,6 @@ class FrequencyGrid:
         return w
 
 
-def _weights_2d(grid: FrequencyGrid) -> np.ndarray:
-    w = grid.trapezoid_weights()
-    return np.outer(w, w)
-
-
 @dataclass(frozen=True, eq=False)
 class JointAmplitude:
     """Complex amplitude F(omega, omega') sampled on a square grid.
@@ -134,29 +133,21 @@ class JointAmplitude:
         return JointAmplitude(self.grid, self.values.T.copy())
 
 
-def _weighted_inner(w2d: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.sum(w2d * np.conj(a) * b))
-
-
-def _weighted_norm(w2d: np.ndarray, a: np.ndarray) -> float:
-    return float(np.sum(w2d * np.abs(a) ** 2))
-
-
 def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
-    """Trapezoidal quadrature of the L2 inner product <a, b>.
-
-    <a, b> = integral of conj(a(w, w')) * b(w, w') dw dw', evaluated with
-    product trapezoid weights on the shared grid.  Amplitudes on different
-    grids are rejected.
+    """Trapezoidal quadrature of <a, b> = integral of conj(a) b dw dw', as
+    w^T (conj(a) b) w with the 1D trapezoid weights w of the shared grid.
+    Amplitudes on different grids are rejected.
     """
     if a.grid != b.grid:
         raise ValueError("amplitudes live on different grids")
-    return _weighted_inner(_weights_2d(a.grid), a.values, b.values)
+    w = a.grid.trapezoid_weights()
+    return complex(w @ (np.conj(a.values) * b.values) @ w)
 
 
 def norm_squared(a: JointAmplitude) -> float:
-    """Trapezoidal quadrature of ||a||^2 = integral of |a|^2."""
-    return _weighted_norm(_weights_2d(a.grid), a.values)
+    """Trapezoidal quadrature of ||a||^2 = integral of |a|^2, as w^T |a|^2 w."""
+    w = a.grid.trapezoid_weights()
+    return float(w @ (np.abs(a.values) ** 2) @ w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,6 +216,24 @@ def _require_unit_norm(total: float, tol: float) -> None:
         )
 
 
+#: Complex entries per row block: a block's temporaries stay in L2, and a
+#: BLAS dot product over one stays below OpenBLAS's 10000-entry threading
+#: cutoff, so no sum depends on the BLAS thread count.
+_BLOCK_ENTRIES = 8192
+
+
+def _weighted_blocks(state: TwoPhotonState):
+    """Yield (rows, weight, weight * F1[rows], weight * F2[rows]), fresh, per row
+    block, with weight = s_i s_j, s = sqrt(trapezoid weights), symmetric bit for bit."""
+    s = np.sqrt(state.grid.trapezoid_weights())
+    f1, f2 = state.f_h1v2.values, state.f_v1h2.values
+    height = max(1, _BLOCK_ENTRIES // s.size)
+    for start in range(0, s.size, height):
+        rows = slice(start, start + height)
+        weight = s[rows, None] * s[None, :]
+        yield rows, weight, weight * f1[rows], weight * f2[rows]
+
+
 @dataclass(frozen=True)
 class StateReductions:
     """Quadratures of F1 = f_h1v2 and F2 = f_v1h2 on the state's grid.
@@ -233,7 +242,7 @@ class StateReductions:
     frequency).  Every polarization and symmetry observable is a closed-form
     function of these numbers:
 
-    * n1, n2 -- ||F1||^2 and ||F2||^2, exactly as ``norm_squared`` computes them,
+    * n1, n2 -- ||F1||^2 and ||F2||^2,
     * overlap -- <F1, F2>, the exchange overlap behind the coincidence rate,
     * path_overlap -- <F1, swap F2>, the overlap behind the polarization
       correlations,
@@ -255,21 +264,46 @@ class StateReductions:
 
 
 def reductions(state: TwoPhotonState) -> StateReductions:
-    """All quadratures in ``StateReductions``, from one set of 2D weights.
+    """``StateReductions``, each one dot product of scaled blocks per block.
+    Scaling keeps exact negation exact, so plus norms stay exactly 0."""
+    sums = np.zeros(6, dtype=np.complex128)
+    for rows, weight, a, b in _weighted_blocks(state):
+        # swap F2 scaled in F2's row order, then transposed in cache (no strided read)
+        b_path = np.ascontiguousarray((state.f_v1h2.values[:, rows] * weight.T).T)
+        sums[:4] += [np.vdot(a, a), np.vdot(b, b), np.vdot(a, b), np.vdot(a, b_path)]
+        b += a
+        b_path += a
+        sums[4:] += [np.vdot(b, b), np.vdot(b_path, b_path)]
+    n1, n2, overlap, path_overlap, plus, path_plus = (complex(x) for x in sums)
+    return StateReductions(n1.real, n2.real, overlap, path_overlap, plus.real, path_plus.real)
 
-    The sums are taken one at a time, so the transient memory stays at a
-    few N x N arrays.
+
+@dataclass(frozen=True, eq=False)
+class StateSpectra:
+    """Sums along the diagonals j - i = k = -(N-1) .. N-1, entry k + N - 1 at
+    w_V - w_H = offsets[k + N - 1] = k * step: ``cross`` of w_i w_j conj(F1) F2
+    (c_k) and ``intensity`` of w_i w_j (|F1|^2 + |F2|^2) / 2 (I_k)."""
+
+    offsets: np.ndarray
+    cross: np.ndarray
+    intensity: np.ndarray
+
+
+def spectra(state: TwoPhotonState) -> StateSpectra:
+    """``StateSpectra`` from one blocked pass.  Row t of an r-row block goes
+    to row r - 1 - t of a skew buffer with r zeros after each row; read as
+    rows one entry shorter, each column is one diagonal of the block.
     """
-    w2d = _weights_2d(state.grid)
-    f1 = state.f_h1v2.values
-    f2 = state.f_v1h2.values
-    f2_path = np.ascontiguousarray(f2.T)
-    return StateReductions(
-        n1=_weighted_norm(w2d, f1),
-        n2=_weighted_norm(w2d, f2),
-        overlap=_weighted_inner(w2d, f1, f2),
-        path_overlap=_weighted_inner(w2d, f1, f2_path),
-        plus_norm=_weighted_norm(w2d, f1 + f2),
-        path_plus_norm=_weighted_norm(w2d, f1 + f2_path),
-    )
-
+    n = state.grid.n_points
+    cross, intensity = np.zeros(2 * n - 1, dtype=np.complex128), np.zeros(2 * n - 1)
+    for rows, _, a, b in _weighted_blocks(state):
+        r = a.shape[0]
+        lo, width = n - r - rows.start, n + r - 1
+        skew_intensity = np.zeros((r, n + r))
+        skew_cross = np.zeros((r, n + r), dtype=np.complex128)
+        squares = a.view(np.float64) ** 2 + b.view(np.float64) ** 2
+        np.add(squares[:, 0::2], squares[:, 1::2], out=skew_intensity[::-1, :n])
+        np.multiply(np.conj(a, out=a), b, out=skew_cross[::-1, :n])
+        for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
+            total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
+    return StateSpectra(np.arange(1 - n, n) * state.grid.step, cross, 0.5 * intensity)

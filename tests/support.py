@@ -6,7 +6,11 @@ quadrature (2x2 Gaussian moment algebra), so tests can pin library
 outputs against numbers that do not come from the code under test.  The
 ``direct_*`` functions evaluate the polarization and symmetry observables
 the long way, one N^2 quadrature of the defining integrand per angle, as
-the reference for the library's closed forms; ``direct_type2_state``
+the reference for the library's closed forms.  ``direct_reductions``,
+``direct_cross_spectrum``, ``direct_intensity_spectrum``,
+``direct_coincidence_probability`` and ``direct_coherence_time`` sum the
+integrands with the full N x N trapezoid weights w_i w_j, the reference
+for the library's blocked passes over separable weights; ``direct_type2_state``
 builds the type-II state from its N^2 formula, the reference for the
 library's factored build.  ``direct_discretize``,
 ``direct_apply_bs_exact``, ``direct_outcome_probabilities`` and
@@ -178,6 +182,74 @@ def direct_type2_state(
 def _weights_2d(state: TwoPhotonState) -> np.ndarray:
     w = state.grid.trapezoid_weights()
     return np.outer(w, w)
+
+
+def direct_reductions(state: TwoPhotonState) -> dict:
+    """The six ``StateReductions`` quadratures, each one weighted N^2 sum."""
+    w2d = _weights_2d(state)
+    f1 = state.f_h1v2.values
+    f2 = state.f_v1h2.values
+    f2_path = np.ascontiguousarray(f2.T)
+
+    def inner(a, b) -> complex:
+        return complex(np.sum(w2d * np.conj(a) * b))
+
+    return {
+        "n1": inner(f1, f1).real,
+        "n2": inner(f2, f2).real,
+        "overlap": inner(f1, f2),
+        "path_overlap": inner(f1, f2_path),
+        "plus_norm": inner(f1 + f2, f1 + f2).real,
+        "path_plus_norm": inner(f1 + f2_path, f1 + f2_path).real,
+    }
+
+
+def _diagonal_sums(state: TwoPhotonState, values: np.ndarray) -> np.ndarray:
+    # entry k + N - 1 sums w_i w_j values[i, j] over the diagonal j - i = k
+    n = state.grid.n_points
+    product = _weights_2d(state) * values
+    offset = (np.arange(n) - np.arange(n)[:, None] + (n - 1)).ravel()
+    real = np.bincount(offset, product.real.ravel(), minlength=2 * n - 1)
+    imag = np.bincount(offset, np.imag(product).ravel(), minlength=2 * n - 1)
+    return real + 1j * imag
+
+
+def direct_cross_spectrum(state: TwoPhotonState) -> np.ndarray:
+    """c_k: diagonal sums of w_i w_j conj(F1[i, j]) F2[i, j] over j - i = k."""
+    return _diagonal_sums(state, np.conj(state.f_h1v2.values) * state.f_v1h2.values)
+
+
+def direct_intensity_spectrum(state: TwoPhotonState) -> np.ndarray:
+    """I_k: diagonal sums of w_i w_j (|F1|^2 + |F2|^2) / 2 over j - i = k."""
+    intensity = 0.5 * (np.abs(state.f_h1v2.values) ** 2 + np.abs(state.f_v1h2.values) ** 2)
+    return _diagonal_sums(state, intensity).real
+
+
+def direct_coincidence_probability(
+    state: TwoPhotonState, delay: float = 0.0, mode_overlap: float = 1.0
+) -> float:
+    """P_cc from the delayed amplitudes in one N^2 pass: the path-1 phase
+    e^{i w delay} on the rows of F1 and the columns of F2, then
+    (1/4) integral (|F1|^2 + |F2|^2) - (1/2) mode_overlap Re <F1, F2>."""
+    phase = np.exp(1j * state.grid.points() * delay)
+    v1 = state.f_h1v2.values * phase[:, None]
+    v2 = state.f_v1h2.values * phase[None, :]
+    w2d = _weights_2d(state)
+    background = 0.25 * float(np.sum(w2d * (np.abs(v1) ** 2 + np.abs(v2) ** 2)))
+    cross = float(np.sum(w2d * (np.conj(v1) * v2)).real)
+    return min(max(background - 0.5 * mode_overlap * cross, 0.0), 1.0)
+
+
+def direct_coherence_time(state: TwoPhotonState) -> float:
+    """1 / RMS spread of w_V - w_H under the 2D intensity (|F1|^2 + |F2|^2)/2."""
+    intensity = _weights_2d(state) * 0.5 * (
+        np.abs(state.f_h1v2.values) ** 2 + np.abs(state.f_v1h2.values) ** 2
+    )
+    total = float(np.sum(intensity))
+    pts = state.grid.points()
+    v = pts[None, :] - pts[:, None]
+    mean = float(np.sum(intensity * v)) / total
+    return 1.0 / math.sqrt(float(np.sum(intensity * (v - mean) ** 2)) / total)
 
 
 def direct_rc_integrated(state: TwoPhotonState, theta1: float, theta2: float) -> float:

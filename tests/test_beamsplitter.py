@@ -169,6 +169,13 @@ def test_mode_overlap_scales_only_the_interference_term():
             coincidence_probability(state, 0.0, mode_overlap=bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coincidence_probability_rejects_non_finite_delays(minus_state, bad):
+    state, _ = minus_state
+    with pytest.raises(ValueError, match="delays must be finite"):
+        coincidence_probability(state, bad)
+
+
 def test_coincidence_probability_is_clamped_to_unit_interval(minus_state):
     state, _ = minus_state
     p = coincidence_probability(state, 0.0)
@@ -239,13 +246,19 @@ def test_delay_scan_visibility_tracks_mode_overlap(minus_state):
 
 
 def _assert_scan_matches_direct_rates(state, axis, mode_overlap):
-    # the closed-form scan against one direct N^2 pass per delay
+    # the closed-form scan against one direct N^2 pass per delay, and bit
+    # for bit against the library's single-delay rate
     curve = delay_scan(state, axis, mode_overlap=mode_overlap)
     direct = [
-        coincidence_probability(state, float(d), mode_overlap=mode_overlap)
+        support.direct_coincidence_probability(state, float(d), mode_overlap)
         for d in np.sort(axis)
     ]
     np.testing.assert_allclose(curve.rates, direct, rtol=0.0, atol=1e-13)
+    sample = np.sort(axis)[::10]
+    single = [
+        coincidence_probability(state, float(d), mode_overlap=mode_overlap) for d in sample
+    ]
+    np.testing.assert_array_equal(curve.rates[::10], single)
 
 
 @pytest.mark.parametrize("n_points", [64, 256])

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import biphoton
 from biphoton import (
     InvariantError,
     JointAmplitude,
@@ -207,6 +211,38 @@ def test_scan_is_deterministic(tmp_path):
     assert (tmp_path / "a.report.json").read_bytes() == (
         tmp_path / "b.report.json"
     ).read_bytes()
+
+
+def _run_cli_outputs(workdir: Path, threads: str) -> dict[str, bytes]:
+    # stdout names the --out paths, so every run writes the same relative ones
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    workdir.mkdir()
+    outputs = {}
+    for command in ("classify", "chsh", "scan"):
+        argv = [sys.executable, "-m", "biphoton.cli", command, "--config",
+                "uncompensated_peak", "--grid-points", "1024"]
+        out = "scan.csv" if command == "scan" else f"{command}.json"
+        done = subprocess.run(argv + ["--out", out], cwd=workdir, env=env,
+                              capture_output=True, timeout=300, check=True)
+        outputs[f"{command} stdout"] = done.stdout
+    for path in sorted(workdir.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    return outputs
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # N = 1024 gives 8-row blocks of 8192 entries, the largest the blocked
+    # passes use; a larger block would let OpenBLAS split its dot products
+    one = _run_cli_outputs(tmp_path / "threads-1", "1")
+    two = _run_cli_outputs(tmp_path / "threads-2", "2")
+    assert sorted(one) == [
+        "chsh stdout", "chsh.json", "classify stdout", "classify.json",
+        "scan stdout", "scan.csv", "scan.report.json",
+    ]
+    for name, content in one.items():
+        assert content == two[name], name
 
 
 def test_scan_dip_locates_the_configured_arm_offset(tmp_path):

@@ -1,5 +1,7 @@
-"""Grid, amplitude container, inner product, and normalization behavior."""
+"""Grid, amplitude container, inner product, normalization, and the blocked
+quadrature passes behind every reported observable."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +14,10 @@ from biphoton import (
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
+    as_residual,
+    bell_residual,
+    coherence_time,
+    coincidence_probability,
     inner_product,
     is_normalized,
     norm_squared,
@@ -19,6 +25,8 @@ from biphoton import (
     require_normalized,
     wavelength_to_angular_frequency,
 )
+from biphoton.cli import list_presets, load_config
+from biphoton.core import reductions, spectra
 
 
 def _gaussian_state_pieces(sigma=3e13, n_points=256, span=8.0):
@@ -241,3 +249,61 @@ def test_normalize_behavior():
             )
         )
 
+
+
+def _assert_quadratures_match_direct(state):
+    # the blocked passes over separable weights against one N^2 sum per
+    # quadrature with the full 2D weights
+    tol = 1e-13
+    got = dataclasses.asdict(reductions(state))
+    for key, expected in support.direct_reductions(state).items():
+        assert abs(got[key] - expected) <= tol, key
+    spec = spectra(state)
+    np.testing.assert_allclose(
+        spec.cross, support.direct_cross_spectrum(state), rtol=0.0, atol=tol
+    )
+    np.testing.assert_allclose(
+        spec.intensity, support.direct_intensity_spectrum(state), rtol=0.0, atol=tol
+    )
+    n = state.grid.n_points
+    np.testing.assert_array_equal(spec.offsets, np.arange(1 - n, n) * state.grid.step)
+    tau_c = support.direct_coherence_time(state)
+    # tau_c is of order 1e-13 s; compared relative to itself
+    assert coherence_time(state) == pytest.approx(tau_c, rel=tol, abs=0.0)
+    for delay in (0.0, 0.4 * tau_c, -1.3 * tau_c, 3.0 * tau_c, -7.5 * tau_c):
+        for mode_overlap in (1.0, 0.6):
+            assert coincidence_probability(
+                state, delay, mode_overlap=mode_overlap
+            ) == pytest.approx(
+                support.direct_coincidence_probability(state, delay, mode_overlap),
+                abs=tol,
+            )
+
+
+#: Presets whose amplitudes satisfy a symmetry bit for bit, and the
+#: residual that must then be exactly zero.
+_EXACT_RESIDUALS = {
+    "bell_ideal": bell_residual,
+    "two_color_path": bell_residual,
+    "two_color_polarization": as_residual,
+}
+
+
+@pytest.mark.parametrize("n_points", [64, 256, 257])
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_blocked_quadratures_match_direct_sums_on_presets(preset, n_points):
+    # 257 rows split into 31-row blocks and a 9-row remainder
+    state = load_config(preset).build_state(n_points)
+    _assert_quadratures_match_direct(state)
+    if preset in _EXACT_RESIDUALS:
+        assert _EXACT_RESIDUALS[preset](state) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=3, max_value=40),
+)
+def test_blocked_quadratures_match_direct_sums_on_random_states(seed, n_points):
+    rng = np.random.default_rng(seed)
+    _assert_quadratures_match_direct(support.make_random_state(rng, n_points=n_points))

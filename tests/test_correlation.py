@@ -20,7 +20,6 @@ from biphoton import (
     build_type2_ultrafast,
     chsh,
     classify,
-    coincidence_probability,
     correlation_E,
     correlation_scan,
     default_grid,
@@ -293,7 +292,7 @@ def _assert_matches_direct_quadrature(state, rng):
     threshold = DEFAULT_CLASSIFICATION_THRESHOLD
     assert report.label == labels[(r_as < threshold, r_bell < threshold)]
     assert report.coincidence_at_zero_delay == pytest.approx(
-        coincidence_probability(state, 0.0), abs=tol
+        support.direct_coincidence_probability(state, 0.0), abs=tol
     )
     assert report.chsh_value == pytest.approx(
         support.direct_chsh(state, random_angles), abs=tol
