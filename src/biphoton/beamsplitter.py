@@ -15,10 +15,11 @@ the f_v1h2 term).  Positive delay retards path 1.
 The delay enters the coincidence rate only through the cross term, as
 e^{i (w_V - w_H) delay}, so rates and the coherence time are closed forms
 of one ``core.StateSpectra`` (sums along the diagonals w_V - w_H = k dw):
-one N^2 pass per call, and one for a whole ``delay_scan``.  The cross term
-is thus periodic in the delay with period 2 pi / dw: a delay beyond the
-alias delay pi / dw gives the same rate as that delay shifted by 2 pi / dw
-back towards zero.
+one N^2 pass per call, and one for a whole ``delay_scan``, after which K
+delays cost O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds and
+O(K sqrt(N)) memory.  The cross term is periodic in the delay with period
+2 pi / dw: a delay beyond ``FrequencyGrid.alias_delay`` = pi / dw gives the
+same rate as that delay shifted by 2 pi / dw back towards zero.
 """
 
 from __future__ import annotations
@@ -177,8 +178,19 @@ def coincidence_probability(
 
 
 def _rates(spec: StateSpectra, delays: np.ndarray, mode_overlap: float) -> np.ndarray:
-    # One delay at a time keeps the transient at O(N), not O(K N).
-    cross = np.array([(np.exp(1j * tau * spec.offsets) @ spec.cross).real for tau in delays])
+    # m = k + N - 1 = a B + b with B = ceil(sqrt(2N - 1)), so e^{i k dw tau} is an outer
+    # phase (columns :A) times an inner one (A:), each tau times an exact integer multiple
+    # of dw.  einsum, not BLAS or a broadcast product (128 KiB buffer), keeps each delay's
+    # sums independent of K and the memory at the K x (A + B) table.
+    m = spec.cross.size
+    width = math.isqrt(m - 1) + 1
+    height = -(-m // width)
+    table = np.pad(spec.cross, (0, height * width - m)).reshape(height, width)
+    index = np.concatenate([np.arange(height) * width - m // 2, np.arange(width)])
+    phases = np.einsum("j,i->ji", 1j * delays, index * spec.step + 0j)
+    np.exp(phases, out=phases)
+    partial = np.einsum("ja,ab->jb", phases[:, :height], table)
+    cross = np.einsum("jb,jb->j", partial, phases[:, height:]).real
     # Clamp double-precision residue just outside [0, 1].
     return np.clip(0.5 * float(np.sum(spec.intensity)) - 0.5 * mode_overlap * cross, 0.0, 1.0)
 
@@ -245,7 +257,8 @@ def delay_scan(state: TwoPhotonState, delays, *, mode_overlap: float = 1.0) -> D
         P_cc(tau) = (1/2) sum_k I_k - (1/2) mode_overlap Re sum_k c_k e^{i k dw tau}
 
     One spectra pass gives the coherence time and every rate, each equal
-    bit for bit to ``coincidence_probability`` at that delay.
+    bit for bit to ``coincidence_probability`` at that delay; the K rates
+    add O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds, O(K sqrt(N)) memory.
     """
     axis = _checked_delays(delays, mode_overlap)
     if axis.ndim != 1 or axis.size < 2:

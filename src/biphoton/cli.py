@@ -334,6 +334,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def run_scan(config: ExperimentConfig, out: Path, *, grid_points=None, epsilon=None) -> int:
     epsilon = config.analysis.mode_overlap_epsilon if epsilon is None else epsilon
+    grid = config.frequency_grid(grid_points)
+    reach = max(abs(config.scan.delay_min), abs(config.scan.delay_max))
+    if reach > grid.alias_delay:
+        # a float, so that an overflowing count prints as inf
+        needed = np.ceil(1.0 + (grid.omega_max - grid.omega_min) * reach / math.pi)
+        raise ConfigError(
+            f"scan delays reach {reach:.3e} s, past the alias delay pi/dw = "
+            f"{grid.alias_delay:.3e} s; use at least {needed:.0f} grid points"
+        )
     state = config.build_state(grid_points)
     curve = delay_scan(state, config.scan.delays(), mode_overlap=epsilon)
     lines = ["delay_s,normalized_rate"]

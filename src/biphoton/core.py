@@ -87,6 +87,11 @@ class FrequencyGrid:
     def step(self) -> float:
         return (self.omega_max - self.omega_min) / (self.n_points - 1)
 
+    @property
+    def alias_delay(self) -> float:
+        """pi / step: e^{i k step tau} folds a delay beyond this back towards zero."""
+        return math.pi / self.step
+
     def points(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)
 
@@ -287,6 +292,7 @@ class StateSpectra:
     offsets: np.ndarray
     cross: np.ndarray
     intensity: np.ndarray
+    step: float
 
 
 def spectra(state: TwoPhotonState) -> StateSpectra:
@@ -294,7 +300,7 @@ def spectra(state: TwoPhotonState) -> StateSpectra:
     to row r - 1 - t of a skew buffer with r zeros after each row; read as
     rows one entry shorter, each column is one diagonal of the block.
     """
-    n = state.grid.n_points
+    n, step = state.grid.n_points, state.grid.step
     cross, intensity = np.zeros(2 * n - 1, dtype=np.complex128), np.zeros(2 * n - 1)
     for rows, _, a, b in _weighted_blocks(state):
         r = a.shape[0]
@@ -306,4 +312,4 @@ def spectra(state: TwoPhotonState) -> StateSpectra:
         np.multiply(np.conj(a, out=a), b, out=skew_cross[::-1, :n])
         for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
             total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
-    return StateSpectra(np.arange(1 - n, n) * state.grid.step, cross, 0.5 * intensity)
+    return StateSpectra(np.arange(1 - n, n) * step, cross, 0.5 * intensity, step)

@@ -27,8 +27,9 @@ from biphoton import (
     normalize,
     wavelength_to_angular_frequency,
 )
-from biphoton.beamsplitter import FLAT_VISIBILITY
+from biphoton.beamsplitter import FLAT_VISIBILITY, _rates
 from biphoton.cli import list_presets, load_config
+from biphoton.core import spectra
 
 CENTER = wavelength_to_angular_frequency(780e-9)
 
@@ -401,3 +402,46 @@ def test_visibility_floor_separates_flat_from_faint_curves():
     flat = delay_scan(state, delays, mode_overlap=1e-12)
     assert flat.visibility < FLAT_VISIBILITY
     assert flat.extremum_delay == _closest_to_zero(delays)
+
+
+def _extended_precision_rates(spec, delays, mode_overlap):
+    # 1/2 sum I_k - 1/2 mode_overlap Re sum c_k e^{i k dw tau} in long double,
+    # each phase formed from the exact integer k
+    ld = np.longdouble
+    k = np.arange(spec.cross.size, dtype=ld) - spec.cross.size // 2
+    phase = np.asarray(delays, dtype=ld)[:, None] * (k * ld(spec.step))[None, :]
+    c = spec.cross
+    cross = np.cos(phase) @ c.real.astype(ld) - np.sin(phase) @ c.imag.astype(ld)
+    background = 0.5 * np.sum(spec.intensity.astype(ld))
+    return np.clip(background - 0.5 * ld(mode_overlap) * cross, 0.0, 1.0)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is no wider than double here",
+)
+@pytest.mark.parametrize("n_points", [64, 256, 1024])
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_scan_rates_match_an_extended_precision_evaluation(preset, n_points):
+    # a grid step taken as a difference of two float offsets fails this bound
+    config = load_config(preset)
+    state = config.build_state(n_points)
+    spec = spectra(state)
+    delays = config.scan.delays()
+    for mode_overlap in (1.0, 0.75):
+        rates = delay_scan(state, delays, mode_overlap=mode_overlap).rates
+        reference = _extended_precision_rates(spec, delays, mode_overlap)
+        assert float(np.max(np.abs(rates - reference))) <= 2e-15
+
+
+@pytest.mark.parametrize("n_points", [2, 5, 13, 1024])
+def test_scan_rates_do_not_depend_on_the_batch(n_points):
+    # 2N - 1 = 3 needs padding to a square table; 9 and 25 are squares
+    state = support.make_random_state(np.random.default_rng(n_points), n_points=n_points)
+    spec = spectra(state)
+    delays = np.linspace(-3.0, 3.0, 41) * state.grid.alias_delay
+    whole = _rates(spec, delays, 0.75)
+    halves = np.concatenate([_rates(spec, delays[:20], 0.75), _rates(spec, delays[20:], 0.75)])
+    single = [coincidence_probability(state, float(d), mode_overlap=0.75) for d in delays]
+    np.testing.assert_array_equal(whole, halves)
+    np.testing.assert_array_equal(whole, single)

@@ -574,3 +574,41 @@ def test_invariant_error_is_a_value_error_raised_by_the_norm_check():
     with pytest.raises(InvariantError, match="not normalized"):
         require_normalized(tripled)
     assert issubclass(InvariantError, ValueError)
+
+
+def _scan_exit(tmp_path, capsys, config, *extra):
+    code = main(["scan", "--config", config, "--out", str(tmp_path / "curve.csv"), *extra])
+    return code, capsys.readouterr()
+
+
+def test_scan_past_the_alias_delay_is_a_config_error_naming_the_grid_size(tmp_path, capsys):
+    # at 64 points the +-500 fs axis folds back onto the peak (pi/dw = 275 fs)
+    code, captured = _scan_exit(tmp_path, capsys, "uncompensated_peak", "--grid-points", "64")
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("config error:") and "alias delay" in captured.err
+    assert "at least 116 grid points" in captured.err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_scan_at_the_named_grid_size_resolves_the_peak(tmp_path, capsys):
+    code, _ = _scan_exit(tmp_path, capsys, "uncompensated_peak", "--grid-points", "116")
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "curve.report.json").read_text(encoding="utf-8"))
+    assert report["background"] == pytest.approx(0.5, abs=1e-4)
+    assert report["visibility"] == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "reach_fs, half_width",
+    # the grid count the last one needs overflows a double
+    [(1e300, 3.6e14), (1.7e308, 3.6e14), (1e300, 1e300)],
+)
+def test_scan_with_an_astronomical_delay_is_a_config_error(
+    tmp_path, capsys, reach_fs, half_width
+):
+    raw = _valid_config()
+    raw["grid"]["half_width_rad_per_s"] = half_width
+    raw["scan"] = {"delay_min_fs": -reach_fs, "delay_max_fs": reach_fs, "n_delays": 11}
+    code, captured = _scan_exit(tmp_path, capsys, _write_config(tmp_path, raw))
+    assert code == EXIT_CONFIG
+    assert "alias delay" in captured.err, captured.err
