@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,12 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamsplitter import (
-    apply_path1_delay,
-    coherence_time,
-    coincidence_probability,
-    delay_scan,
-)
+from .beamsplitter import coherence_time, coincidence_probability, delay_scan
 from .core import FrequencyGrid, InvariantError, TwoPhotonState, wavelength_to_angular_frequency
 from .correlation import DEFAULT_CHSH_ANGLES, chsh
 from .oracle import apply_bs_exact, discretize, outcome_probabilities, reconstruct
@@ -425,8 +421,7 @@ def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None)
     max_unitarity_defect = 0.0
     min_captured_norm = math.inf
     for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c):
-        delayed = apply_path1_delay(state, delay)
-        basis = discretize(delayed, k_bins)
+        basis = discretize(state, k_bins, delay=delay)
         min_captured_norm = min(min_captured_norm, basis.captured_norm)
         transformed = apply_bs_exact(basis)
         max_unitarity_defect = max(
@@ -454,6 +449,7 @@ def run_presets_list() -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biphoton",

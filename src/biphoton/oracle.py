@@ -11,9 +11,10 @@ so the physical amplitude of the pair {u, v} is 2 T[u, v] for u != v and
 sqrt(2) T[u, u] for a doubly occupied mode, and the total probability is
 2 ||T||_F^2.  The beamsplitter acts only on the path label, so it mixes
 the 2K x 2K path blocks of T with a 2 x 2 unitary and never forms the
-(4K)^2 mode unitary.  Per delay the bin projection and its embedding
-back on the grid cost O(K N^2) on an N-point grid, the transform and the
-outcome sums O(K^2).
+(4K)^2 mode unitary.  Per delay the bin projection (two BLAS products
+per amplitude, the delay a phase on the K x N bin weights, no N x N
+temporary) costs O(K N^2) on an N-point grid, the gather back on the grid
+O(N^2), the transform and the outcome sums O(K^2).
 
 Everything here is written against that finite Fock space from scratch:
 bin aggregation and probability bookkeeping share no code with the
@@ -142,11 +143,14 @@ def _from_pair_matrix(k_bins: int, paths, t: np.ndarray, captured_norm) -> Discr
 
 
 def _squared_norm(a: np.ndarray) -> float:
-    return float(np.vdot(a, a).real)
+    # Pieces below OpenBLAS's 10000-entry threading cutoff: thread-independent bits.
+    flat = a.reshape(-1)
+    return float(sum(np.vdot(p, p).real for p in np.split(flat, range(8192, flat.size, 8192))))
 
 
-def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Trapezoid weights and the K contiguous blocks of grid points.
+def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin of each grid point (contiguous blocks, the first n % K one point
+    longer), trapezoid weights w and sqrt(W_k), W_k the weight of bin k.
 
     The weights are written out on purpose; see the module docstring.
     """
@@ -155,13 +159,14 @@ def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError(f"k_bins = {k_bins} exceeds the {n}-point grid")
     step = (grid.omega_max - grid.omega_min) / (n - 1)
     w = np.full(n, step)
-    w[0] = 0.5 * step
-    w[-1] = 0.5 * step
-    return w, np.array_split(np.arange(n), k_bins)
+    w[0] = w[-1] = 0.5 * step
+    size, extra = divmod(n, k_bins)
+    bins = np.repeat(np.arange(k_bins), np.where(np.arange(k_bins) < extra, size + 1, size))
+    return bins, w, np.sqrt(np.bincount(bins, weights=w))
 
 
-def discretize(state: TwoPhotonState, k_bins: int) -> DiscreteModeBasis:
-    """Project the continuum state onto K flat frequency-bin modes.
+def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> DiscreteModeBasis:
+    """Project the state, path 1 retarded by ``delay`` s, onto K flat bin modes.
 
     Bin k covers a contiguous block of grid points; its mode function is
     constant over the block, so the projection coefficient of F onto the
@@ -170,7 +175,9 @@ def discretize(state: TwoPhotonState, k_bins: int) -> DiscreteModeBasis:
         c[k, m] = sum_{i in k, j in m} w_i w_j F[i, j] / sqrt(W_k W_m)
 
     with w the quadrature weights and W_k their per-bin totals.  The
-    captured norm sum |c|^2 can only fall short of the continuum norm
+    path-1 phase e^{i w delay} (rows of f_h1v2, columns of f_v1h2) rides
+    on the K x N weights: two BLAS products per amplitude, no N x N array.
+    The captured norm sum |c|^2 can only fall short of the continuum norm
     (within-bin structure is lost, a deficit of order 1/K^2 for smooth
     states); it reaches it exactly when K equals the grid size.
     """
@@ -178,13 +185,17 @@ def discretize(state: TwoPhotonState, k_bins: int) -> DiscreteModeBasis:
         raise ValueError(f"k_bins must be an integer, got {k_bins!r}")
     if k_bins < 2:
         raise ValueError(f"k_bins must be at least 2, got {k_bins}")
-    w, blocks = _flat_bins(state.grid, k_bins)
-    aggregate = np.zeros((k_bins, state.grid.n_points))
-    for k, block in enumerate(blocks):
-        w_block = w[block]
-        aggregate[k, block] = w_block / math.sqrt(float(np.sum(w_block)))
-    c1 = aggregate @ state.f_h1v2.values @ aggregate.T
-    c2 = aggregate @ state.f_v1h2.values @ aggregate.T
+    bins, w, root_w = _flat_bins(state.grid, k_bins)
+    aggregate = np.zeros((k_bins, bins.size))
+    aggregate[bins, np.arange(bins.size)] = w / root_w[bins]
+    if not math.isfinite(delay * max(abs(state.grid.omega_min), abs(state.grid.omega_max))):
+        raise ValueError(f"delay {delay!r} s gives non-finite phases on the grid")
+    delayed = aggregate * np.exp(1j * delay * state.grid.points())
+    # Real BLAS products on float64 views (F1's weights stack their two parts).
+    both = np.concatenate((delayed.real, delayed.imag)) @ state.f_h1v2.values.view(np.float64)
+    both = both.view(np.complex128)
+    c1 = (both[:k_bins] + 1j * both[k_bins:]) @ aggregate.T
+    c2 = (aggregate @ state.f_v1h2.values.view(np.float64)).view(np.complex128) @ delayed.T
     # Physical pair amplitudes carry the state's overall 1/sqrt(2).
     captured = 0.5 * (_squared_norm(c1) + _squared_norm(c2))
     if captured <= 0.0:
@@ -214,7 +225,7 @@ def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
     if basis.paths != (1, 2):
         raise ValueError(f"only input bases on paths (1, 2) embed, got {basis.paths}")
     k_bins = basis.k_bins
-    w, blocks = _flat_bins(grid, k_bins)
+    bins, _, root_w = _flat_bins(grid, k_bins)
     sectors = basis.pair_matrix.reshape(4, k_bins, 4, k_bins)
     other = np.ones((4, 4), dtype=bool)
     other[_H1, _V2] = other[_V2, _H1] = other[_V1, _H2] = other[_H2, _V1] = False
@@ -225,15 +236,14 @@ def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
         )
     # Flat bin mode sampled on the grid: 1/sqrt(W_k) over block k, so
     # F[i, j] = c[k, m] / sqrt(W_k W_m) for i in bin k and j in bin m.
-    root_w = np.array([math.sqrt(float(np.sum(w[block]))) for block in blocks])
     scale = 2.0 * _ROOT_TWO / np.outer(root_w, root_w)
-    counts = [len(block) for block in blocks]
     # Row index is the w_H bin: the path-1 H photon's in c1, the path-2 H
     # photon's in c2.
     c1 = scale * sectors[_H1, :, _V2, :]
     c2 = scale * sectors[_V1, :, _H2, :].T
-    f1 = np.repeat(np.repeat(c1, counts, axis=0), counts, axis=1)
-    f2 = np.repeat(np.repeat(c2, counts, axis=0), counts, axis=1)
+    # np.take's result is C-contiguous and owns its data: JointAmplitude keeps it.
+    f1 = np.take(c1[:, bins], bins, axis=0)
+    f2 = np.take(c2[:, bins], bins, axis=0)
     return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
 
 

@@ -323,7 +323,7 @@ def _dict_mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
     return [Mode(path, pol, k) for path in paths for pol in ("H", "V") for k in range(k_bins)]
 
 
-def _bin_blocks(grid: FrequencyGrid, k_bins: int):
+def bin_blocks(grid: FrequencyGrid, k_bins: int):
     step = (grid.omega_max - grid.omega_min) / (grid.n_points - 1)
     w = np.full(grid.n_points, step)
     w[0] = 0.5 * step
@@ -334,7 +334,7 @@ def _bin_blocks(grid: FrequencyGrid, k_bins: int):
 def direct_discretize(state: TwoPhotonState, k_bins: int) -> DictBasis:
     """Flat-bin projection filled into a dict, one mode pair at a time."""
     n = state.grid.n_points
-    w, blocks = _bin_blocks(state.grid, k_bins)
+    w, blocks = bin_blocks(state.grid, k_bins)
     aggregate = np.zeros((k_bins, n))
     for k, block in enumerate(blocks):
         aggregate[k, block] = w[block] / math.sqrt(float(np.sum(w[block])))
@@ -411,7 +411,7 @@ def direct_outcome_probabilities(basis: DictBasis) -> dict[str, float]:
 
 def direct_reconstruct(basis: DictBasis, grid: FrequencyGrid) -> TwoPhotonState:
     """Embed (1H, 2V) and (1V, 2H) pair amplitudes as flat bin blocks."""
-    w, blocks = _bin_blocks(grid, basis.k_bins)
+    w, blocks = bin_blocks(grid, basis.k_bins)
     mode_fn = np.zeros((basis.k_bins, grid.n_points))
     for k, block in enumerate(blocks):
         mode_fn[k, block] = 1.0 / math.sqrt(float(np.sum(w[block])))

@@ -245,6 +245,46 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert content == two[name], name
 
 
+def _cli_stdout(argv, threads: str, cwd: Path) -> bytes:
+    """stdout of ``python -m biphoton.cli *argv`` in a fresh process."""
+    src = str(Path(biphoton.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=300, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("n_points", ["256", "1024"])
+def test_oracle_check_does_not_depend_on_the_blas_thread_count(tmp_path, n_points):
+    # At K = 32 the 4K x 4K pair matrix has 16384 entries, past OpenBLAS's
+    # 10000-entry threading cutoff for a dot product; at N = 1024 the bin
+    # projection's gemm is threaded as well.
+    for k_bins in ("8", "32"):
+        argv = ["oracle-check", "--config", "uncompensated_peak", "--grid-points", n_points,
+                "--bins", k_bins]
+        assert _cli_stdout(argv, "1", tmp_path) == _cli_stdout(argv, "2", tmp_path), k_bins
+
+
+def test_commands_in_one_process_print_what_fresh_processes_print(tmp_path, capsys):
+    # The argparse parser is built once per process; an option given to one
+    # command must not leak into the next.
+    import biphoton.cli as cli_module
+
+    assert cli_module._build_parser() is cli_module._build_parser()
+    out = str(tmp_path / "rate.csv")
+    sequence = [
+        ["scan", "--config", "uncompensated_peak", "--out", out, "--epsilon", "0.5"],
+        ["scan", "--config", "uncompensated_peak", "--out", out],
+        ["oracle-check", "--config", "bell_ideal", "--bins", "3"],
+        ["oracle-check", "--config", "bell_ideal"],
+    ]
+    for argv in sequence:
+        assert main(argv) == EXIT_OK
+        in_process = capsys.readouterr().out
+        assert in_process.encode() == _cli_stdout(argv, "1", tmp_path), argv
+
+
 def test_scan_dip_locates_the_configured_arm_offset(tmp_path):
     out = tmp_path / "dip.csv"
     assert main(["scan", "--config", "uncompensated_dip", "--out", str(out)]) == EXIT_OK

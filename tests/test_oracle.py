@@ -1,5 +1,6 @@
 """Discrete-mode brute-force checker: projection, unitarity, agreement."""
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from biphoton import (
     build_antisymmetric,
     build_two_color,
     build_type2_ultrafast,
+    coherence_time,
     coincidence_probability,
     default_grid,
     discretize,
@@ -396,3 +398,93 @@ def test_reconstruct_rejects_pairs_a_two_photon_state_cannot_hold(pair):
     basis = _single_pair_basis({pair: 0.6 + 0.0j, (Mode(1, "V", 1), Mode(2, "H", 0)): 0.8})
     with pytest.raises(ValueError, match="other mode pairs"):
         reconstruct(basis, grid)
+
+
+# discretize(state, K, delay=tau) against the delayed N x N copy it replaced.
+# The coefficients are compared before renormalization: coarse bins can
+# cancel a delayed state almost entirely (N = 100, K = 3, tau = 2 tau_c
+# captures 2.6e-16 of the norm), and the renormalized pair matrix of such
+# a projection is rounding noise.
+DELAY_TOL = 1e-13
+
+
+@functools.cache
+def _preset_state(preset, n_points):
+    return load_config(preset).build_state(n_points)
+
+
+def _coefficients(basis):
+    root = math.sqrt(basis.captured_norm)
+    return {key: root * amp for key, amp in basis.amplitudes.items()}
+
+
+def _assert_same_projection(folded, reference):
+    assert (folded.k_bins, folded.paths) == (reference.k_bins, reference.paths)
+    assert abs(folded.captured_norm - reference.captured_norm) <= DELAY_TOL
+    got, expected = _coefficients(folded), _coefficients(reference)
+    for key in set(got) | set(expected):
+        assert abs(got.get(key, 0.0) - expected.get(key, 0.0)) <= DELAY_TOL, key
+
+
+def _assert_delay_folds(state, k_bins, delay):
+    delayed = apply_path1_delay(state, delay)
+    folded = discretize(state, k_bins, delay=delay)
+    _assert_same_projection(folded, discretize(delayed, k_bins))
+    _assert_same_projection(folded, support.direct_discretize(delayed, k_bins))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("n_points", [64, 256, 257])
+@pytest.mark.parametrize("k_bins", [2, 7, 32])
+def test_discretize_folds_the_path1_delay_on_presets(preset, n_points, k_bins):
+    state = _preset_state(preset, n_points)
+    tau_c = coherence_time(state)
+    for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c):
+        _assert_delay_folds(state, k_bins, delay)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=_grid_and_bins(),
+    delay=st.floats(min_value=-1e-12, max_value=1e-12),
+)
+def test_discretize_folds_the_path1_delay_on_random_states(seed, sizes, delay):
+    n_points, k_bins = sizes
+    state = support.make_random_state(np.random.default_rng(seed), n_points=n_points)
+    _assert_delay_folds(state, k_bins, delay)
+
+
+@pytest.mark.parametrize("delay", [math.inf, -math.inf, math.nan, 1e300])
+def test_discretize_rejects_a_delay_without_finite_phases(delay):
+    state = support.make_random_state(np.random.default_rng(5), n_points=8)
+    with pytest.raises(ValueError, match="non-finite phases"):
+        discretize(state, 4, delay=delay)
+
+
+def _repeat_embedding(basis, grid):
+    """reconstruct's amplitudes as np.repeat built them: block by block."""
+    k_bins = basis.k_bins
+    w, blocks = support.bin_blocks(grid, k_bins)
+    root_w = np.array([math.sqrt(float(np.sum(w[block]))) for block in blocks])
+    scale = 2.0 * math.sqrt(2.0) / np.outer(root_w, root_w)
+    counts = [len(block) for block in blocks]
+    sectors = basis.pair_matrix.reshape(4, k_bins, 4, k_bins)
+    c1 = scale * sectors[0, :, 3, :]  # (1H, 2V)
+    c2 = scale * sectors[1, :, 2, :].T  # (1V, 2H), rows the path-2 H bin
+    return [np.repeat(np.repeat(c, counts, axis=0), counts, axis=1) for c in (c1, c2)]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("n_points, k_bins", [(64, 2), (64, 7), (257, 32)])
+def test_reconstruct_gathers_owned_contiguous_amplitudes(preset, n_points, k_bins):
+    state = _preset_state(preset, n_points)
+    basis = discretize(state, k_bins, delay=2.0 * coherence_time(state))
+    embedded = reconstruct(basis, state.grid)
+    expected = _repeat_embedding(basis, state.grid)
+    for amplitude, reference in zip((embedded.f_h1v2, embedded.f_v1h2), expected):
+        values = amplitude.values
+        assert values.flags.c_contiguous and values.flags.owndata
+        assert values.base is None
+        scale = float(np.max(np.abs(reference)))
+        assert float(np.max(np.abs(values - reference))) <= 1e-15 * scale
