@@ -457,25 +457,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out: bool = False):
+    def add_common(p):
         p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--grid-points", type=int, default=None, help="override grid.n_points")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
-        else:
-            p.add_argument("--out", default=None, help="optional JSON report path")
 
     p_scan = sub.add_parser("scan", help="coincidence rate vs path-1 delay, to CSV")
-    add_common(p_scan, needs_out=True)
+    add_common(p_scan)
+    p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.add_argument(
         "--epsilon", type=float, default=None, help="override mode-overlap epsilon"
     )
 
     p_classify = sub.add_parser("classify", help="symmetry classification report")
     add_common(p_classify)
+    p_classify.add_argument("--out", default=None, help="optional JSON report path")
 
     p_chsh = sub.add_parser("chsh", help="CHSH S value at the configured angles")
     add_common(p_chsh)
+    p_chsh.add_argument("--out", default=None, help="optional JSON report path")
 
     p_oracle = sub.add_parser("oracle-check", help="discrete-mode cross-check")
     add_common(p_oracle)
@@ -497,6 +496,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.grid_points is not None and args.grid_points < 2:
             raise ConfigError(f"--grid-points must be at least 2, got {args.grid_points}")
+        if args.command == "oracle-check":
+            return run_oracle_check(config, args.bins, grid_points=args.grid_points)
         out = Path(args.out) if args.out else None
         if args.command == "scan":
             if args.epsilon is not None and not 0.0 <= args.epsilon <= 1.0:
@@ -506,8 +507,6 @@ def main(argv=None) -> int:
             return run_classify(config, grid_points=args.grid_points, out=out)
         if args.command == "chsh":
             return run_chsh(config, grid_points=args.grid_points, out=out)
-        if args.command == "oracle-check":
-            return run_oracle_check(config, args.bins, grid_points=args.grid_points)
         raise AssertionError(f"unhandled command {args.command!r}")
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

@@ -18,9 +18,10 @@ a = cos t1 sin t2 and b = sin t1 cos t2,
                      + (2 Re<F1, swap F2> / (n1 + n2)) sin 2alpha sin 2beta
     V45 = 2 |<F1, swap F2>| / (n1 + n2)
 
-E is what the four-rate combination reduces to.  Each public function
-takes one reductions pass over the grid per state, whatever the number
-of angles it evaluates.
+E, defined by the four-rate combination, and the correlation_scan
+fringe are evaluated in these closed forms.  Each public function takes
+one reductions pass over the grid per state, whatever the number of
+angles it evaluates.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ DEFAULT_CHSH_ANGLES: tuple[float, float, float, float] = (
     3.0 * math.pi / 8.0,
 )
 
-#: Fitted fringe amplitudes below this fraction of the mean rate are
+#: Fringe amplitudes below this fraction of the mean rate are
 #: reported as a flat curve.
 DEGENERATE_FRINGE_FRACTION = 1e-12
 
@@ -62,25 +63,35 @@ def rc_integrated(state: TwoPhotonState, theta1: float, theta2: float) -> float:
 
 
 def _rate(red: StateReductions, theta1: float, theta2: float) -> float:
-    for theta in (theta1, theta2):
+    _require_finite(theta1, theta2)
+    a = math.cos(theta1) * math.sin(theta2)
+    b = math.sin(theta1) * math.cos(theta2)
+    return _per_norm(red, a * a * red.n1 + b * b * red.n2 + 2.0 * a * b * red.path_overlap.real)
+
+
+def _require_finite(*angles: float) -> None:
+    for theta in angles:
         if not math.isfinite(theta):
             raise ValueError(f"analyzer angle must be finite, got {theta!r}")
+
+
+def _per_norm(red: StateReductions, value: float) -> float:
+    """value / (n1 + n2), refusing a zero-norm state."""
     total = red.n1 + red.n2
     if total <= 0.0:
         raise ValueError("state has zero norm")
-    a = math.cos(theta1) * math.sin(theta2)
-    b = math.sin(theta1) * math.cos(theta2)
-    return (a * a * red.n1 + b * b * red.n2 + 2.0 * a * b * red.path_overlap.real) / total
+    return value / total
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationCurve:
-    """Analyzer-2 scan at fixed analyzer-1 angle with a fringe fit.
+    """Analyzer-2 scan at fixed analyzer-1 angle with its fringe.
 
-    The fit model is rate = a + b sin^2(theta2 - c); visibility is
-    b / (2a + b), the standard (max - min)/(max + min) of the fitted
-    fringe.  fit_residual is the RMS misfit.  degenerate marks a flat
-    curve, where the phase c is meaningless and visibility is set to 0.
+    The fringe model is rate = a + b sin^2(theta2 - c); visibility is
+    b / (2a + b), the standard (max - min)/(max + min) of the fringe.
+    fit_residual is the RMS gap between the sampled rates and the
+    closed-form fringe.  degenerate marks a flat curve, where the phase c
+    is meaningless and visibility is set to 0.
     """
 
     theta1: float
@@ -103,16 +114,21 @@ class CorrelationCurve:
 
 
 def correlation_scan(state: TwoPhotonState, theta1: float, theta2s) -> CorrelationCurve:
-    """Scan analyzer 2 and fit the sinusoidal fringe.
+    """Scan analyzer 2 and read off the sinusoidal fringe.
 
-    The rate is an exact trigonometric polynomial
-    c0 + c1 cos 2t + c2 sin 2t, so the sin^2 model parameters come from a
-    linear least-squares solve: with rho = hypot(c1, c2),
+    The rate is the exact trigonometric polynomial
+    c0 + c1 cos 2t + c2 sin 2t with, for T = n1 + n2,
+
+        c0 = (cos^2 t1 n1 + sin^2 t1 n2) / 2T
+        c1 = (sin^2 t1 n2 - cos^2 t1 n1) / 2T
+        c2 = sin 2t1 Re<F1, swap F2> / 2T
+
+    so the sin^2 model parameters follow in closed form: with
+    rho = hypot(c1, c2),
 
         b = 2 rho,  a = c0 - rho,  c = atan2(-c2, -c1) / 2.
 
-    The scan must span at least pi so all three coefficients are
-    determined.
+    The scan must span at least pi, a full fringe period.
     """
     angles = np.asarray(theta2s, dtype=np.float64)
     if angles.ndim != 1 or angles.size < 3:
@@ -127,35 +143,26 @@ def correlation_scan(state: TwoPhotonState, theta1: float, theta2s) -> Correlati
     angles = np.sort(angles)
     red = reductions(state)
     rates = np.array([_rate(red, theta1, float(t)) for t in angles])
-    design = np.column_stack(
-        [np.ones_like(angles), np.cos(2.0 * angles), np.sin(2.0 * angles)]
-    )
-    coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
-    c0, c1, c2 = (float(c) for c in coef)
-    residual = float(np.sqrt(np.mean((rates - design @ coef) ** 2)))
+    cos_sq, sin_sq = math.cos(theta1) ** 2, math.sin(theta1) ** 2
+    half = _per_norm(red, 0.5)
+    c0 = half * (cos_sq * red.n1 + sin_sq * red.n2)
+    c1 = half * (sin_sq * red.n2 - cos_sq * red.n1)
+    c2 = half * math.sin(2.0 * theta1) * red.path_overlap.real
+    fringe = c0 + c1 * np.cos(2.0 * angles) + c2 * np.sin(2.0 * angles)
     rho = math.hypot(c1, c2)
-    if c0 <= 0.0 or rho <= DEGENERATE_FRINGE_FRACTION * c0:
-        return CorrelationCurve(
-            theta1=theta1,
-            theta2s=angles,
-            rates=rates,
-            offset=c0,
-            amplitude=0.0,
-            phase=0.0,
-            visibility=0.0,
-            fit_residual=residual,
-            degenerate=True,
-        )
+    degenerate = c0 <= 0.0 or rho <= DEGENERATE_FRINGE_FRACTION * c0
+    if degenerate:
+        rho = 0.0
     return CorrelationCurve(
         theta1=theta1,
         theta2s=angles,
         rates=rates,
         offset=c0 - rho,
         amplitude=2.0 * rho,
-        phase=0.5 * math.atan2(-c2, -c1),
-        visibility=rho / c0,
-        fit_residual=residual,
-        degenerate=False,
+        phase=0.0 if degenerate else 0.5 * math.atan2(-c2, -c1),
+        visibility=0.0 if degenerate else rho / c0,
+        fit_residual=float(np.sqrt(np.mean((rates - fringe) ** 2))),
+        degenerate=degenerate,
     )
 
 
@@ -163,24 +170,21 @@ def correlation_E(state: TwoPhotonState, alpha: float, beta: float) -> float:
     """Correlation coefficient of the +-1 analyzer outcomes.
 
     Each analyzer has a transmitted (+) and an orthogonal (-) port, the
-    latter obtained by rotating the angle by pi/2.  E is the standard
-    four-rate combination
+    latter obtained by rotating the angle by pi/2.  E is defined as the
+    standard four-rate combination
 
-        E = (R++ - R+- - R-+ + R--) / (R++ + R+- + R-+ + R--).
+        E = (R++ - R+- - R-+ + R--) / (R++ + R+- + R-+ + R--)
+
+    and evaluated as the closed form it reduces to (module docstring).
     """
     return _correlation(reductions(state), alpha, beta)
 
 
 def _correlation(red: StateReductions, alpha: float, beta: float) -> float:
-    half_pi = 0.5 * math.pi
-    r_pp = _rate(red, alpha, beta)
-    r_pm = _rate(red, alpha, beta + half_pi)
-    r_mp = _rate(red, alpha + half_pi, beta)
-    r_mm = _rate(red, alpha + half_pi, beta + half_pi)
-    total = r_pp + r_pm + r_mp + r_mm
-    if total <= 0.0:
-        raise ValueError("all four analyzer rates vanish")
-    return (r_pp - r_pm - r_mp + r_mm) / total
+    _require_finite(alpha, beta)
+    k = _per_norm(red, 2.0 * red.path_overlap.real)
+    two_a, two_b = 2.0 * alpha, 2.0 * beta
+    return -math.cos(two_a) * math.cos(two_b) + k * math.sin(two_a) * math.sin(two_b)
 
 
 def chsh(
@@ -221,7 +225,4 @@ def fringe_visibility_45(state: TwoPhotonState) -> float:
 
 
 def _visibility_45(red: StateReductions) -> float:
-    total = red.n1 + red.n2
-    if total <= 0.0:
-        raise ValueError("state has zero norm")
-    return 2.0 * abs(red.path_overlap) / total
+    return _per_norm(red, 2.0 * abs(red.path_overlap))

@@ -18,6 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DEFAULT_GRID_POINTS,
+    SPEED_OF_LIGHT,
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
@@ -124,7 +125,7 @@ class FilterParams:
     @property
     def fwhm_frequency(self) -> float:
         lam = self.center_wavelength
-        return 2.0 * math.pi * 299_792_458.0 * self.fwhm / (lam * lam)
+        return 2.0 * math.pi * SPEED_OF_LIGHT * self.fwhm / (lam * lam)
 
 
 def default_grid(params: SpdcParams, n_points: int = DEFAULT_GRID_POINTS) -> FrequencyGrid:
@@ -138,25 +139,21 @@ def default_grid(params: SpdcParams, n_points: int = DEFAULT_GRID_POINTS) -> Fre
     return FrequencyGrid.centered(params.photon_center_frequency, half_width, n_points)
 
 
-def gaussian_line(
-    grid: FrequencyGrid, center: float, sigma: float, normalized: bool = True
-) -> np.ndarray:
+def gaussian_line(grid: FrequencyGrid, center: float, sigma: float) -> np.ndarray:
     """Single-photon Gaussian amplitude envelope sampled on the grid.
 
     ``sigma`` is the RMS width of the intensity spectrum, so the amplitude
-    is exp(-(w - center)^2 / (4 sigma^2)).  With ``normalized`` the
-    trapezoid quadrature of the intensity is scaled to one.
+    is exp(-(w - center)^2 / (4 sigma^2)), scaled so that the trapezoid
+    quadrature of the intensity is one.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     x = grid.points() - center
     g = np.exp(-(x * x) / (4.0 * sigma * sigma))
-    if normalized:
-        total = float(np.sum(grid.trapezoid_weights() * g * g))
-        if total <= 0.0:
-            raise ValueError("envelope vanishes on the grid; center is off-grid")
-        g = g / math.sqrt(total)
-    return g
+    total = float(np.sum(grid.trapezoid_weights() * g * g))
+    if total <= 0.0:
+        raise ValueError("envelope vanishes on the grid; center is off-grid")
+    return g / math.sqrt(total)
 
 
 def _check_grid_wide_enough(mags: np.ndarray, what: str) -> None:

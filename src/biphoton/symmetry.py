@@ -24,13 +24,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import TwoPhotonState, reductions
+from .core import StateReductions, TwoPhotonState, reductions
 from .correlation import DEFAULT_CHSH_ANGLES, _chsh, _visibility_45
 
 #: Residuals below this are treated as exact symmetry.
 DEFAULT_CLASSIFICATION_THRESHOLD = 1e-3
 
-_LABELS = ("Both", "AS-only", "Bell-only", "Neither")
+#: (exchange antisymmetric, path correlated) -> label.
+_LABELS = {
+    (True, True): "Both",
+    (True, False): "AS-only",
+    (False, True): "Bell-only",
+    (False, False): "Neither",
+}
+
+
+def _residuals(state: TwoPhotonState) -> tuple[StateReductions, float, float]:
+    """Reductions of a normalized state, with its as and bell residuals."""
+    red = reductions(state)
+    red.require_normalized()
+    return red, 0.25 * red.plus_norm, 0.5 * red.path_plus_norm
 
 
 def as_residual(state: TwoPhotonState) -> float:
@@ -43,9 +56,7 @@ def as_residual(state: TwoPhotonState) -> float:
     = 1.  It vanishes iff f_v1h2 = -f_h1v2 almost everywhere on the grid,
     the condition for a full-height coincidence peak.
     """
-    red = reductions(state)
-    red.require_normalized()
-    return 0.25 * red.plus_norm
+    return _residuals(state)[1]
 
 
 def bell_residual(state: TwoPhotonState) -> float:
@@ -58,9 +69,7 @@ def bell_residual(state: TwoPhotonState) -> float:
     exact sin^2(theta1 - theta2) correlations), 1 when the two terms are
     spectrally orthogonal, 2 for the plus-sign counterpart.
     """
-    red = reductions(state)
-    red.require_normalized()
-    return 0.5 * red.path_plus_norm
+    return _residuals(state)[2]
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,9 @@ class SymmetryReport:
     basis45_visibility: float
 
     def __post_init__(self) -> None:
-        if self.label not in _LABELS:
-            raise ValueError(f"label must be one of {_LABELS}, got {self.label!r}")
+        labels = tuple(_LABELS.values())
+        if self.label not in labels:
+            raise ValueError(f"label must be one of {labels}, got {self.label!r}")
 
 
 def classify(
@@ -99,25 +109,12 @@ def classify(
     """
     if not (0.0 < threshold < 1.0) or not math.isfinite(threshold):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    red = reductions(state)
-    red.require_normalized()
-    r_as = 0.25 * red.plus_norm
-    r_bell = 0.5 * red.path_plus_norm
-    has_as = r_as < threshold
-    has_bell = r_bell < threshold
-    if has_as and has_bell:
-        label = "Both"
-    elif has_as:
-        label = "AS-only"
-    elif has_bell:
-        label = "Bell-only"
-    else:
-        label = "Neither"
+    red, r_as, r_bell = _residuals(state)
     coincidence = 0.25 * (red.n1 + red.n2) - 0.5 * red.overlap.real
     return SymmetryReport(
         as_residual=r_as,
         bell_residual=r_bell,
-        label=label,
+        label=_LABELS[(r_as < threshold, r_bell < threshold)],
         # Clamp double-precision residue just outside [0, 1].
         coincidence_at_zero_delay=min(max(coincidence, 0.0), 1.0),
         chsh_value=_chsh(red, chsh_angles),

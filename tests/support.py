@@ -6,7 +6,8 @@ quadrature (2x2 Gaussian moment algebra), so tests can pin library
 outputs against numbers that do not come from the code under test.  The
 ``direct_*`` functions evaluate the polarization and symmetry observables
 the long way, one N^2 quadrature of the defining integrand per angle, as
-the reference for the library's closed forms.  ``direct_reductions``,
+the reference for the library's closed forms; ``direct_fringe_fit`` fits
+the analyzer-2 fringe to those rates by least squares.  ``direct_reductions``,
 ``direct_cross_spectrum``, ``direct_intensity_spectrum``,
 ``direct_coincidence_probability`` and ``direct_coherence_time`` sum the
 integrands with the full N x N trapezoid weights w_i w_j, the reference
@@ -280,6 +281,25 @@ def direct_chsh(state: TwoPhotonState, angles) -> float:
         + direct_correlation_E(state, a_prime, b)
         + direct_correlation_E(state, a_prime, b_prime)
     )
+
+
+def direct_fringe_fit(state: TwoPhotonState, theta1: float, theta2s) -> dict:
+    """Least-squares fit of c0 + c1 cos 2t + c2 sin 2t to direct analyzer
+    rates, as the offset a, amplitude b, phase c and visibility
+    b / (2a + b) of the fringe a + b sin^2(t - c)."""
+    angles = np.asarray(theta2s, dtype=np.float64)
+    rates = np.array([direct_rc_integrated(state, theta1, float(t)) for t in angles])
+    design = np.column_stack(
+        [np.ones_like(angles), np.cos(2.0 * angles), np.sin(2.0 * angles)]
+    )
+    (c0, c1, c2), *_ = np.linalg.lstsq(design, rates, rcond=None)
+    rho = math.hypot(c1, c2)
+    return {
+        "offset": c0 - rho,
+        "amplitude": 2.0 * rho,
+        "phase": 0.5 * math.atan2(-c2, -c1),
+        "visibility": rho / c0,
+    }
 
 
 def direct_fringe_visibility_45(state: TwoPhotonState) -> float:

@@ -377,6 +377,16 @@ def test_oracle_check_bins_flag(capsys):
     assert main(["oracle-check", "--config", "bell_ideal", "--bins", "40"]) == EXIT_CONFIG
 
 
+def test_oracle_check_refuses_out(tmp_path, capsys):
+    # oracle-check writes no report, so an --out path would be silently ignored
+    path = tmp_path / "oracle.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["oracle-check", "--config", "bell_ideal", "--out", str(path)])
+    assert excinfo.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_oracle_check_reports_invariant_failure(monkeypatch, capsys):
     import biphoton.cli as cli_module
 

@@ -161,6 +161,25 @@ def test_correlation_scan_at_zero_angle_is_perfect_for_any_state():
     assert math.sin(curve.phase) == pytest.approx(0.0, abs=1e-9)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_correlation_scan_matches_a_least_squares_fit_of_direct_rates(seed):
+    # the closed-form fringe coefficients against a fit to N^2 quadratures
+    rng = np.random.default_rng(seed)
+    state = support.make_random_state(rng, n_points=8)
+    theta1 = float(rng.uniform(0.0, math.pi))
+    start = float(rng.uniform(-math.pi, math.pi))
+    angles = np.linspace(start, start + math.pi, 13)
+    curve = correlation_scan(state, theta1, angles)
+    fit = support.direct_fringe_fit(state, theta1, angles)
+    assert not curve.degenerate
+    for field in ("offset", "amplitude", "visibility"):
+        assert getattr(curve, field) == pytest.approx(fit[field], abs=1e-12), field
+    # the fringe repeats with period pi in its phase
+    assert math.sin(curve.phase - fit["phase"]) == pytest.approx(0.0, abs=1e-12)
+    assert curve.fit_residual < 1e-12
+
+
 def test_correlation_scan_flat_curve_is_degenerate():
     grid = FrequencyGrid.centered(CENTER, 2.8e14, 256)
     state = build_two_color("i", CENTER - 1.2e14, CENTER + 1.2e14, 2e13, grid)
