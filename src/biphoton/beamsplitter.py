@@ -135,14 +135,18 @@ class BsOutputState:
         }
 
 
+def _scaled_pair(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.ndarray]:
+    """c F1 and c F2 after the path-1 delay, c = 1/(2 sqrt(2)).  The channels
+    and the alternatives (this pair up to exact signs) are built from it, so
+    each channel amplitude equals the sum of its alternatives bit for bit."""
+    v1, v2 = _delayed_pair(state, delay)
+    return _OUTPUT_PREFACTOR * v1, _OUTPUT_PREFACTOR * v2
+
+
 def bs_transform(state: TwoPhotonState, delay: float = 0.0) -> BsOutputState:
     """Full output state of the beamsplitter for a given path-1 delay."""
-    v1, v2 = _delayed_pair(state, delay)
+    t1, t2 = _scaled_pair(state, delay)
     grid = state.grid
-    # Scale each term first so the channel amplitudes equal the sums of the
-    # per-alternative amplitudes bit for bit.
-    t1 = _OUTPUT_PREFACTOR * v1
-    t2 = _OUTPUT_PREFACTOR * v2
     return BsOutputState(
         a_43=JointAmplitude(grid, t1 - t2),
         b_33=JointAmplitude(grid, 1j * (t1 + t2)),
@@ -301,7 +305,8 @@ class FeynmanDecomposition:
     to a_34.  overlap_14 and overlap_23 are the normalized overlap
     magnitudes |<psi_a, psi_b>| / (|psi_a| |psi_b|) of each interfering
     pair: 1 means the alternatives are fully indistinguishable and
-    interfere completely, 0 means they merely add probabilities.
+    interfere completely, 0 means they merely add probabilities.  Since
+    psi_2 = -psi_1 and psi_3 = -psi_4 exactly, the two are one number.
     """
 
     psi_1: JointAmplitude
@@ -310,14 +315,6 @@ class FeynmanDecomposition:
     psi_4: JointAmplitude
     overlap_14: float
     overlap_23: float
-
-
-def _normalized_overlap(a: JointAmplitude, b: JointAmplitude) -> float:
-    na = norm_squared(a)
-    nb = norm_squared(b)
-    if na <= 0.0 or nb <= 0.0:
-        return 0.0
-    return abs(inner_product(a, b)) / math.sqrt(na * nb)
 
 
 def feynman_decomposition(state: TwoPhotonState, delay: float = 0.0) -> FeynmanDecomposition:
@@ -334,18 +331,19 @@ def feynman_decomposition(state: TwoPhotonState, delay: float = 0.0) -> FeynmanD
 
     with c = 1/(2 sqrt(2)) and F1, F2 the delayed input amplitudes.
     """
-    v1, v2 = _delayed_pair(state, delay)
+    t1, t2 = _scaled_pair(state, delay)
     grid = state.grid
-    c = _OUTPUT_PREFACTOR
-    psi_1 = JointAmplitude(grid, c * v1)
-    psi_2 = JointAmplitude(grid, -c * v1)
-    psi_3 = JointAmplitude(grid, c * v2)
-    psi_4 = JointAmplitude(grid, -c * v2)
+    psi_1 = JointAmplitude(grid, t1)
+    psi_4 = JointAmplitude(grid, -t2)
+    n1, n4 = norm_squared(psi_1), norm_squared(psi_4)
+    overlap = 0.0
+    if n1 > 0.0 and n4 > 0.0:
+        overlap = abs(inner_product(psi_1, psi_4)) / math.sqrt(n1 * n4)
     return FeynmanDecomposition(
         psi_1=psi_1,
-        psi_2=psi_2,
-        psi_3=psi_3,
+        psi_2=JointAmplitude(grid, -t1),
+        psi_3=JointAmplitude(grid, t2),
         psi_4=psi_4,
-        overlap_14=_normalized_overlap(psi_1, psi_4),
-        overlap_23=_normalized_overlap(psi_2, psi_3),
+        overlap_14=overlap,
+        overlap_23=overlap,
     )

@@ -74,7 +74,7 @@ class FrequencyGrid:
             raise ValueError(
                 f"omega_min must be < omega_max, got [{self.omega_min}, {self.omega_max}]"
             )
-        if int(self.n_points) != self.n_points or self.n_points < 2:
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 2:
             raise ValueError(f"n_points must be an integer >= 2, got {self.n_points}")
 
     @classmethod
@@ -202,20 +202,20 @@ def normalize(state: TwoPhotonState) -> TwoPhotonState:
     )
 
 
-def is_normalized(state: TwoPhotonState, tol: float = NORMALIZATION_TOL) -> bool:
-    return abs(state.norm_squared() - 1.0) <= tol
+def is_normalized(state: TwoPhotonState) -> bool:
+    return abs(state.norm_squared() - 1.0) <= NORMALIZATION_TOL
 
 
-def require_normalized(state: TwoPhotonState, tol: float = NORMALIZATION_TOL) -> None:
-    _require_unit_norm(state.norm_squared(), tol)
+def require_normalized(state: TwoPhotonState) -> None:
+    _require_unit_norm(state.norm_squared())
 
 
 class InvariantError(ValueError):
     """A state broke a library invariant, such as its unit normalization."""
 
 
-def _require_unit_norm(total: float, tol: float) -> None:
-    if abs(total - 1.0) > tol:
+def _require_unit_norm(total: float) -> None:
+    if abs(total - 1.0) > NORMALIZATION_TOL:
         raise InvariantError(
             f"state is not normalized: (1/2)(||f1||^2 + ||f2||^2) = {total!r}"
         )
@@ -265,7 +265,7 @@ class StateReductions:
 
     def require_normalized(self) -> None:
         """Raise like ``require_normalized`` on the state these came from."""
-        _require_unit_norm(0.5 * (self.n1 + self.n2), NORMALIZATION_TOL)
+        _require_unit_norm(0.5 * (self.n1 + self.n2))
 
 
 def reductions(state: TwoPhotonState) -> StateReductions:

@@ -108,10 +108,6 @@ class CorrelationCurve:
         self.theta2s.setflags(write=False)
         self.rates.setflags(write=False)
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return [(float(t), float(r)) for t, r in zip(self.theta2s, self.rates)]
-
 
 def correlation_scan(state: TwoPhotonState, theta1: float, theta2s) -> CorrelationCurve:
     """Scan analyzer 2 and read off the sinusoidal fringe.

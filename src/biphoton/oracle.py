@@ -255,13 +255,13 @@ def apply_bs_exact(basis: DiscreteModeBasis) -> DiscreteModeBasis:
 
         T_out[p, q] = sum_{a, b} u[p, a] u[q, b] T[a, b],
 
-    which is U T U^T for the mode unitary U = u (x) identity.
+    which is U T U^T for the mode unitary U = u (x) identity: one product per path index.
     """
     if basis.paths != (1, 2):
         raise ValueError(f"input basis must live on paths (1, 2), got {basis.paths}")
     half = 2 * basis.k_bins
-    blocks = basis.pair_matrix.reshape(2, half, 2, half)
-    t_out = np.einsum("pa,qb,axby->pxqy", _PATH_UNITARY, _PATH_UNITARY, blocks)
+    rows = _PATH_UNITARY @ basis.pair_matrix.reshape(2, -1)
+    t_out = _PATH_UNITARY @ rows.reshape(2 * half, 2, half)
     return _from_pair_matrix(
         basis.k_bins, (3, 4), t_out.reshape(2 * half, 2 * half), basis.captured_norm
     )

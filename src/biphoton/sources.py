@@ -22,6 +22,7 @@ from .core import (
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
+    norm_squared,
     wavelength_to_angular_frequency,
 )
 
@@ -146,8 +147,10 @@ def gaussian_line(grid: FrequencyGrid, center: float, sigma: float) -> np.ndarra
     is exp(-(w - center)^2 / (4 sigma^2)), scaled so that the trapezoid
     quadrature of the intensity is one.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     x = grid.points() - center
     g = np.exp(-(x * x) / (4.0 * sigma * sigma))
     total = float(np.sum(grid.trapezoid_weights() * g * g))
@@ -248,11 +251,9 @@ def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
     Sets f_v1h2 = -f_h1v2 by exact negation, so the coincidence peak
     condition holds identically on the grid regardless of the envelope.
     """
-    mags = np.abs(envelope.values)
-    _check_grid_wide_enough(mags, "the joint spectral envelope")
+    _check_grid_wide_enough(np.abs(envelope.values), "the joint spectral envelope")
     # State norm is 0.5 (|f1|^2 + |f2|^2) = |envelope|^2 here.
-    w = envelope.grid.trapezoid_weights()
-    total = float(w @ (mags * mags) @ w)
+    total = norm_squared(envelope)
     if total <= 0.0:
         raise ValueError("envelope must be nonzero")
     f1 = envelope.values / math.sqrt(total)

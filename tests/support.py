@@ -9,9 +9,10 @@ the long way, one N^2 quadrature of the defining integrand per angle, as
 the reference for the library's closed forms; ``direct_fringe_fit`` fits
 the analyzer-2 fringe to those rates by least squares.  ``direct_reductions``,
 ``direct_cross_spectrum``, ``direct_intensity_spectrum``,
-``direct_coincidence_probability`` and ``direct_coherence_time`` sum the
-integrands with the full N x N trapezoid weights w_i w_j, the reference
-for the library's blocked passes over separable weights; ``direct_type2_state``
+``direct_coincidence_probability``, ``direct_feynman_overlap`` and
+``direct_coherence_time`` sum the integrands with the full N x N trapezoid
+weights w_i w_j, the reference for the library's blocked passes over
+separable weights and its one-overlap Feynman split; ``direct_type2_state``
 builds the type-II state from its N^2 formula, the reference for the
 library's factored build.  ``direct_discretize``,
 ``direct_apply_bs_exact``, ``direct_outcome_probabilities`` and
@@ -226,19 +227,36 @@ def direct_intensity_spectrum(state: TwoPhotonState) -> np.ndarray:
     return _diagonal_sums(state, intensity).real
 
 
+def _delayed_values(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.ndarray]:
+    # the path-1 phase e^{i w delay}: rows of F1, columns of F2
+    phase = np.exp(1j * state.grid.points() * delay)
+    return state.f_h1v2.values * phase[:, None], state.f_v1h2.values * phase[None, :]
+
+
 def direct_coincidence_probability(
     state: TwoPhotonState, delay: float = 0.0, mode_overlap: float = 1.0
 ) -> float:
     """P_cc from the delayed amplitudes in one N^2 pass: the path-1 phase
     e^{i w delay} on the rows of F1 and the columns of F2, then
     (1/4) integral (|F1|^2 + |F2|^2) - (1/2) mode_overlap Re <F1, F2>."""
-    phase = np.exp(1j * state.grid.points() * delay)
-    v1 = state.f_h1v2.values * phase[:, None]
-    v2 = state.f_v1h2.values * phase[None, :]
+    v1, v2 = _delayed_values(state, delay)
     w2d = _weights_2d(state)
     background = 0.25 * float(np.sum(w2d * (np.abs(v1) ** 2 + np.abs(v2) ** 2)))
     cross = float(np.sum(w2d * (np.conj(v1) * v2)).real)
     return min(max(background - 0.5 * mode_overlap * cross, 0.0), 1.0)
+
+
+def direct_feynman_overlap(state: TwoPhotonState, delay: float = 0.0) -> float:
+    """|<F1, F2>| / sqrt(n1 n2) of the delayed pair by dense N^2 sums: the
+    interfering alternatives are F1 and F2 up to constant factors, so this is
+    the normalized overlap of either pair (0 if an amplitude vanishes)."""
+    v1, v2 = _delayed_values(state, delay)
+    w2d = _weights_2d(state)
+    n1 = float(np.sum(w2d * np.abs(v1) ** 2))
+    n2 = float(np.sum(w2d * np.abs(v2) ** 2))
+    if n1 <= 0.0 or n2 <= 0.0:
+        return 0.0
+    return abs(complex(np.sum(w2d * np.conj(v1) * v2))) / math.sqrt(n1 * n2)
 
 
 def direct_coherence_time(state: TwoPhotonState) -> float:

@@ -364,6 +364,34 @@ def test_feynman_overlap_of_vanishing_alternative_is_zero():
     assert parts.overlap_23 == 0.0
 
 
+def _assert_overlaps_match_direct(state, delay):
+    parts = feynman_decomposition(state, delay)
+    assert parts.overlap_14 == parts.overlap_23
+    assert parts.overlap_14 == pytest.approx(
+        support.direct_feynman_overlap(state, delay), rel=0.0, abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_feynman_overlap_matches_direct_sums_on_presets(preset):
+    state = load_config(preset).build_state(256)
+    tau_c = coherence_time(state)
+    for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c):
+        _assert_overlaps_match_direct(state, delay)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=3, max_value=16),
+)
+def test_feynman_overlap_matches_direct_sums_on_random_states(seed, n_points):
+    rng = np.random.default_rng(seed)
+    state = support.make_random_state(rng, n_points=n_points)
+    tau_c = coherence_time(state)
+    _assert_overlaps_match_direct(state, rng.uniform(-5.0, 5.0) * tau_c)
+
+
 def _closest_to_zero(axis) -> float:
     axis = np.sort(np.asarray(axis))
     return float(axis[np.argmin(np.abs(axis))])

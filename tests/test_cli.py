@@ -165,6 +165,20 @@ def test_parse_config_defaults_for_optional_analysis_block():
             "classification_threshold must be positive",
         ),
         (lambda r: r["source"].update(walkoff_fs="fast"), "must be a number"),
+        # json.loads accepts NaN and Infinity
+        (lambda r: r["source"].update(walkoff_fs=math.nan), "walkoff_fs must be finite"),
+        (
+            lambda r: r["source"]["filter"].update(shape="lorentzian"),
+            "source.filter.shape must be 'gaussian' or 'tophat'",
+        ),
+        (
+            lambda r: r["analysis"].update(mode_overlap_epsilon=-0.1),
+            "mode_overlap_epsilon must be nonnegative",
+        ),
+        (lambda r: r.update(grid=[1, 2]), "grid must be an object"),
+        (lambda r: r.update(source="type2_ultrafast"), "source must be an object"),
+        (lambda r: r.update(extra=1), "unknown key <root>.extra"),
+        (lambda r: r.update(description=3), "description must be a string"),
     ],
 )
 def test_parse_config_rejects_bad_input(mutate, message):
@@ -172,6 +186,8 @@ def test_parse_config_rejects_bad_input(mutate, message):
     mutate(raw)
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(raw)
+    with pytest.raises(ConfigError, match="configuration root must be an object"):
+        parse_config([raw])
 
 
 def test_scan_writes_csv_and_report(tmp_path, capsys):

@@ -57,6 +57,11 @@ def test_grid_validation_rejects_bad_bounds():
         FrequencyGrid(1e15, 2e15, 1)
     with pytest.raises(ValueError):
         FrequencyGrid(math.nan, 2e15, 64)
+    # 256.0 == 256, but np.linspace in points() needs an integer count
+    for bad_count in (256.0, 2.5, True):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
+            FrequencyGrid(1e15, 2e15, bad_count)
+    assert FrequencyGrid(1e15, 2e15, np.int64(8)).points().shape == (8,)
 
 
 def test_grid_centered_points_and_weights():

@@ -71,8 +71,12 @@ def test_gaussian_line_normalization_and_width():
     # RMS width of the intensity profile is sigma by construction
     rms = math.sqrt(float(np.sum(w * intensity * x**2)))
     assert rms == pytest.approx(sigma, rel=1e-9)
-    with pytest.raises(ValueError):
-        gaussian_line(grid, CENTER, -sigma)
+    for bad_sigma in (-sigma, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            gaussian_line(grid, CENTER, bad_sigma)
+    for bad_center in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
+            gaussian_line(grid, bad_center, sigma)
 
 
 def test_default_grid_covers_the_marginals():
