@@ -67,7 +67,11 @@ def _delayed_pair(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.n
     v2 = state.f_v1h2.values
     if delay == 0.0:
         return v1, v2
-    phase = np.exp(1j * state.grid.points() * delay)
+    grid = state.grid
+    # float(): a numpy scalar would warn on the very overflow this looks for
+    if not math.isfinite(float(delay) * max(abs(grid.omega_min), abs(grid.omega_max))):
+        raise ValueError(f"delay {delay!r} s gives non-finite phases on the grid")
+    phase = np.exp(1j * grid.points() * delay)
     return v1 * phase[:, None], v2 * phase[None, :]
 
 
@@ -126,14 +130,6 @@ class BsOutputState:
             + self.probability_both_in_4
         )
 
-    def channel_probabilities(self) -> dict[str, float]:
-        """Outcome probabilities keyed like the discrete-mode checker."""
-        return {
-            "coincidence": self.probability_coincidence,
-            "both_in_3": self.probability_both_in_3,
-            "both_in_4": self.probability_both_in_4,
-        }
-
 
 def _scaled_pair(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.ndarray]:
     """c F1 and c F2 after the path-1 delay, c = 1/(2 sqrt(2)).  The channels
@@ -153,12 +149,14 @@ def bs_transform(state: TwoPhotonState, delay: float = 0.0) -> BsOutputState:
     )
 
 
-def _checked_delays(delays, mode_overlap: float) -> np.ndarray:
+def _checked_delays(delays, mode_overlap: float, grid: FrequencyGrid) -> np.ndarray:
     if not 0.0 <= mode_overlap <= 1.0:
         raise ValueError(f"mode_overlap must lie in [0, 1], got {mode_overlap}")
     axis = np.asarray(delays, dtype=np.float64)
-    if not np.all(np.isfinite(axis)):
-        raise ValueError("delays must be finite")
+    # _rates forms the phases k dw tau with |k dw| below twice the grid's span.
+    reach = float(np.max(np.abs(axis), initial=0.0))
+    if not math.isfinite(reach * 2.0 * (grid.omega_max - grid.omega_min)):
+        raise ValueError("delays must be finite and give finite phases on the grid")
     return axis
 
 
@@ -177,7 +175,7 @@ def coincidence_probability(
     term; it models imperfect spatial overlap at the beamsplitter, which
     damps the peak or dip without moving the background.
     """
-    delays = _checked_delays([delay], mode_overlap)
+    delays = _checked_delays([delay], mode_overlap, state.grid)
     return float(_rates(spectra(state), delays, mode_overlap)[0])
 
 
@@ -264,7 +262,7 @@ def delay_scan(state: TwoPhotonState, delays, *, mode_overlap: float = 1.0) -> D
     bit for bit to ``coincidence_probability`` at that delay; the K rates
     add O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds, O(K sqrt(N)) memory.
     """
-    axis = _checked_delays(delays, mode_overlap)
+    axis = _checked_delays(delays, mode_overlap, state.grid)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError("delays must be a 1D sequence with at least 2 entries")
     spec = spectra(state)

@@ -196,7 +196,6 @@ class AnalysisSettings:
 class ExperimentConfig:
     """A validated configuration with all quantities converted to SI."""
 
-    description: str
     source: dict
     grid_center: float
     grid_half_width: float
@@ -259,8 +258,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for required in ("source", "grid", "scan"):
         if required not in raw:
             raise ConfigError(f"missing block {required}")
-    description = raw.get("description", "")
-    if not isinstance(description, str):
+    if not isinstance(raw.get("description", ""), str):
         raise ConfigError("description must be a string")
     grid = _read_block(raw["grid"], "grid", _GRID)
     grid["grid_center"] = wavelength_to_angular_frequency(grid["grid_center"])
@@ -269,7 +267,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         low, high, _ = _SCAN
         raise ConfigError(f"scan.{low} must be below scan.{high}")
     return ExperimentConfig(
-        description=description,
         source=_parse_source(raw["source"]),
         scan=scan,
         analysis=AnalysisSettings(
@@ -328,9 +325,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def run_scan(config: ExperimentConfig, out: Path, *, grid_points=None, epsilon=None) -> int:
-    epsilon = config.analysis.mode_overlap_epsilon if epsilon is None else epsilon
-    grid = config.frequency_grid(grid_points)
+def run_scan(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    epsilon = config.analysis.mode_overlap_epsilon if args.epsilon is None else args.epsilon
+    # The config value is range-checked when it is read; only the flag can fail here.
+    if not 0.0 <= epsilon <= 1.0:
+        raise ConfigError(f"--epsilon must lie in [0, 1], got {epsilon}")
+    grid = config.frequency_grid(args.grid_points)
     reach = max(abs(config.scan.delay_min), abs(config.scan.delay_max))
     if reach > grid.alias_delay:
         # a float, so that an overflowing count prints as inf
@@ -339,14 +339,14 @@ def run_scan(config: ExperimentConfig, out: Path, *, grid_points=None, epsilon=N
             f"scan delays reach {reach:.3e} s, past the alias delay pi/dw = "
             f"{grid.alias_delay:.3e} s; use at least {needed:.0f} grid points"
         )
-    state = config.build_state(grid_points)
+    state = config.build_state(args.grid_points)
     curve = delay_scan(state, config.scan.delays(), mode_overlap=epsilon)
     lines = ["delay_s,normalized_rate"]
     lines.extend(
         f"{_fmt(float(d))},{_fmt(float(r))}" for d, r in zip(curve.delays, curve.rates)
     )
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    report_path = out.with_suffix(".report.json")
+    args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    report_path = args.out.with_suffix(".report.json")
     report = {
         "background": _round_for_report(curve.background),
         "visibility": _round_for_report(curve.visibility),
@@ -358,7 +358,7 @@ def run_scan(config: ExperimentConfig, out: Path, *, grid_points=None, epsilon=N
         "mode_overlap_epsilon": _round_for_report(epsilon),
     }
     _write_json(report_path, report)
-    print(f"csv = {out}")
+    print(f"csv = {args.out}")
     print(f"report = {report_path}")
     print(f"background = {_fmt(curve.background)}")
     print(f"visibility = {_fmt(curve.visibility)}")
@@ -366,8 +366,8 @@ def run_scan(config: ExperimentConfig, out: Path, *, grid_points=None, epsilon=N
     return EXIT_OK
 
 
-def run_classify(config: ExperimentConfig, *, grid_points=None, out: Path | None = None) -> int:
-    state = config.build_state(grid_points)
+def run_classify(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    state = config.build_state(args.grid_points)
     threshold = config.analysis.classification_threshold
     report = classify(state, threshold=threshold, chsh_angles=config.analysis.chsh_angles)
     numbers = {
@@ -378,33 +378,33 @@ def run_classify(config: ExperimentConfig, *, grid_points=None, out: Path | None
         "basis45_visibility": report.basis45_visibility,
         "threshold": threshold,
     }
-    print(f"label = {report.label}")
-    for key, value in numbers.items():
-        print(f"{key} = {_fmt(value)}")
-    if out is not None:
+    lines = [f"label = {report.label}"]
+    lines.extend(f"{key} = {_fmt(value)}" for key, value in numbers.items())
+    if args.out is not None:
         rounded = {key: _round_for_report(value) for key, value in numbers.items()}
-        _write_json(out, {"label": report.label, **rounded})
-        print(f"report = {out}")
+        _write_json(args.out, {"label": report.label, **rounded})
+        lines.append(f"report = {args.out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
-def run_chsh(config: ExperimentConfig, *, grid_points=None, out: Path | None = None) -> int:
-    state = config.build_state(grid_points)
+def run_chsh(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    state = config.build_state(args.grid_points)
     angles = config.analysis.chsh_angles
     s_value = chsh(state, angles)
-    print(f"chsh_value = {_fmt(s_value)}")
-    print(f"angles_rad = {','.join(_fmt(a) for a in angles)}")
-    if out is not None:
+    lines = [f"chsh_value = {_fmt(s_value)}", f"angles_rad = {','.join(_fmt(a) for a in angles)}"]
+    if args.out is not None:
         rounded = [_round_for_report(a) for a in angles]
-        _write_json(out, {"chsh_value": _round_for_report(s_value), "angles_rad": rounded})
-        print(f"report = {out}")
+        _write_json(args.out, {"chsh_value": _round_for_report(s_value), "angles_rad": rounded})
+        lines.append(f"report = {args.out}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
-def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None) -> int:
+def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
     """Compare quadrature and discrete-mode coincidence probabilities.
 
-    The configured state is projected onto k_bins flat frequency bins.
+    The configured state is projected onto ``--bins`` flat frequency bins.
     The discrete route sends the projection through the exact mode
     unitary; the quadrature route evaluates the same projected state
     (embedded back on the grid) with the analytic formula.  Checked at
@@ -412,9 +412,10 @@ def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None)
     smallest captured norm of the three projections is printed, so a
     check that only saw a small fraction of the state shows as such.
     """
+    k_bins = args.bins
     if not 2 <= k_bins <= 32:
         raise ConfigError(f"--bins must lie in [2, 32], got {k_bins}")
-    state = config.build_state(grid_points)
+    state = config.build_state(args.grid_points)
     grid = state.grid
     tau_c = coherence_time(state)
     max_deviation = 0.0
@@ -443,12 +444,6 @@ def run_oracle_check(config: ExperimentConfig, k_bins: int, *, grid_points=None)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def run_presets_list() -> int:
-    for name, description in list_presets():
-        print(f"{name}: {description}" if description else name)
-    return EXIT_OK
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -463,18 +458,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="coincidence rate vs path-1 delay, to CSV")
     add_common(p_scan)
-    p_scan.add_argument("--out", required=True, help="output CSV path")
+    p_scan.add_argument("--out", type=Path, required=True, help="output CSV path")
     p_scan.add_argument(
         "--epsilon", type=float, default=None, help="override mode-overlap epsilon"
     )
 
     p_classify = sub.add_parser("classify", help="symmetry classification report")
     add_common(p_classify)
-    p_classify.add_argument("--out", default=None, help="optional JSON report path")
+    p_classify.add_argument("--out", type=Path, help="optional JSON report path")
 
     p_chsh = sub.add_parser("chsh", help="CHSH S value at the configured angles")
     add_common(p_chsh)
-    p_chsh.add_argument("--out", default=None, help="optional JSON report path")
+    p_chsh.add_argument("--out", type=Path, help="optional JSON report path")
 
     p_oracle = sub.add_parser("oracle-check", help="discrete-mode cross-check")
     add_common(p_oracle)
@@ -492,28 +487,26 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            return run_presets_list()
+            for name, description in list_presets():
+                print(f"{name}: {description}" if description else name)
+            return EXIT_OK
         config = load_config(args.config)
         if args.grid_points is not None and args.grid_points < 2:
             raise ConfigError(f"--grid-points must be at least 2, got {args.grid_points}")
-        if args.command == "oracle-check":
-            return run_oracle_check(config, args.bins, grid_points=args.grid_points)
-        out = Path(args.out) if args.out else None
-        if args.command == "scan":
-            if args.epsilon is not None and not 0.0 <= args.epsilon <= 1.0:
-                raise ConfigError(f"--epsilon must lie in [0, 1], got {args.epsilon}")
-            return run_scan(config, out, grid_points=args.grid_points, epsilon=args.epsilon)
-        if args.command == "classify":
-            return run_classify(config, grid_points=args.grid_points, out=out)
-        if args.command == "chsh":
-            return run_chsh(config, grid_points=args.grid_points, out=out)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # Looked up per call: benchmark/tracing.py rebinds the run_* names.
+        runner = {
+            "scan": run_scan,
+            "classify": run_classify,
+            "chsh": run_chsh,
+            "oracle-check": run_oracle_check,
+        }[args.command]
+        return runner(config, args)
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
-        # Library preconditions triggered by configuration values land
-        # here too (grid too narrow, scan span too small, ...).
+    except (OSError, ValueError) as exc:
+        # Library preconditions triggered by configuration values land here
+        # too (grid too narrow, scan span too small, ...), as do unwritable --out paths.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

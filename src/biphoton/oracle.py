@@ -181,14 +181,14 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
     (within-bin structure is lost, a deficit of order 1/K^2 for smooth
     states); it reaches it exactly when K equals the grid size.
     """
-    if not isinstance(k_bins, int) or isinstance(k_bins, bool):
+    if not isinstance(k_bins, (int, np.integer)) or isinstance(k_bins, bool):
         raise ValueError(f"k_bins must be an integer, got {k_bins!r}")
     if k_bins < 2:
         raise ValueError(f"k_bins must be at least 2, got {k_bins}")
     bins, w, root_w = _flat_bins(state.grid, k_bins)
     aggregate = np.zeros((k_bins, bins.size))
     aggregate[bins, np.arange(bins.size)] = w / root_w[bins]
-    if not math.isfinite(delay * max(abs(state.grid.omega_min), abs(state.grid.omega_max))):
+    if not math.isfinite(float(delay) * max(abs(state.grid.omega_min), abs(state.grid.omega_max))):
         raise ValueError(f"delay {delay!r} s gives non-finite phases on the grid")
     delayed = aggregate * np.exp(1j * delay * state.grid.points())
     # Real BLAS products on float64 views (F1's weights stack their two parts).
@@ -198,7 +198,9 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
     c2 = (aggregate @ state.f_v1h2.values.view(np.float64)).view(np.complex128) @ delayed.T
     # Physical pair amplitudes carry the state's overall 1/sqrt(2).
     captured = 0.5 * (_squared_norm(c1) + _squared_norm(c2))
-    if captured <= 0.0:
+    # Rounding leaves |c|^2 ~ (N eps)^2 norm, and norm <= max(w)^2 (sum|F1|^2 + sum|F2|^2) / 2
+    n1, n2 = _squared_norm(state.f_h1v2.values), _squared_norm(state.f_v1h2.values)
+    if captured <= 0.5 * (n1 + n2) * (bins.size * np.finfo(np.float64).eps * w.max()) ** 2:
         raise ValueError("state projects to zero on the requested bins")
     scale = 1.0 / (2.0 * _ROOT_TWO * math.sqrt(captured))
     # In f_v1h2 the first index (bin k) is the path-2 H photon's.

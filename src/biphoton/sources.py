@@ -59,6 +59,9 @@ class SpdcParams:
     extra_group_delay_arm2: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.pump_center_wavelength <= 0.0:
             raise ValueError("pump_center_wavelength must be positive")
         if self.pump_duration_fwhm <= 0.0:
@@ -109,8 +112,10 @@ class FilterParams:
     shape: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.center_wavelength <= 0.0 or self.fwhm <= 0.0:
-            raise ValueError("filter center and fwhm must be positive")
+        for name in ("center_wavelength", "fwhm"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"filter {name} must be finite and positive, got {value!r}")
         if self.fwhm >= self.center_wavelength:
             raise ValueError(
                 f"filter fwhm {self.fwhm!r} m must be below its center wavelength "
@@ -283,7 +288,7 @@ def build_bell_psi_minus(
     total = 1.0  # both terms have norm^2 ||g1||^2 ||g2||^2
     for name, g in (("envelope1", g1), ("envelope2", g2)):
         norm = float(np.sum(w * np.abs(g) ** 2))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails this too
             raise ValueError(f"{name} is not normalized: integral |g|^2 = {norm!r}")
         total *= norm
     g1 = g1 / math.sqrt(total)

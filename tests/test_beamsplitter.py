@@ -74,7 +74,6 @@ def test_plus_state_never_produces_coincidences():
     assert out.probability_coincidence == 0.0
     assert out.probability_both_in_3 == pytest.approx(0.5, abs=1e-9)
     assert out.probability_both_in_4 == pytest.approx(0.5, abs=1e-9)
-    assert out.channel_probabilities()["coincidence"] == 0.0
 
 
 def test_total_probability_is_conserved_for_randomized_inputs():
@@ -170,11 +169,18 @@ def test_mode_overlap_scales_only_the_interference_term():
             coincidence_probability(state, 0.0, mode_overlap=bad)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, 1e300, pytest.param(np.float64(1e300), id="np-1e300")],
+)
 def test_coincidence_probability_rejects_non_finite_delays(minus_state, bad):
     state, _ = minus_state
     with pytest.raises(ValueError, match="delays must be finite"):
         coincidence_probability(state, bad)
+    # the amplitude routes refuse the same delays before forming any phase
+    for amplitudes in (apply_path1_delay, bs_transform, feynman_decomposition):
+        with pytest.raises(ValueError, match="non-finite phases"):
+            amplitudes(state, bad)
 
 
 def test_coincidence_probability_is_clamped_to_unit_interval(minus_state):
@@ -214,6 +220,9 @@ def test_coherence_time_rejects_degenerate_spread():
     # all weight sits on w_V = w_H, so the difference spread vanishes
     with pytest.raises(ValueError):
         coherence_time(state)
+    zero = JointAmplitude(grid, np.zeros((16, 16)))
+    with pytest.raises(ValueError, match="zero norm"):
+        coherence_time(TwoPhotonState(zero, zero))
 
 
 def test_delay_scan_summary_numbers(minus_state):
@@ -317,6 +326,8 @@ def test_delay_scan_rejects_short_spans(minus_state):
         delay_scan(state, [0.0])
     with pytest.raises(ValueError):
         delay_scan(state, [-1e-12, math.nan, 1e-12])
+    with pytest.raises(ValueError, match="finite phases"):
+        delay_scan(state, [-1e300, 0.0, 1e300])
 
 
 def test_feynman_sums_reproduce_the_coincidence_amplitudes():

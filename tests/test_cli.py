@@ -403,6 +403,18 @@ def test_oracle_check_refuses_out(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("verb", ["scan", "classify", "chsh"])
+def test_unwritable_out_path_is_a_config_error_that_prints_nothing(tmp_path, capsys, verb):
+    missing = tmp_path / "missing" / "out.json"
+    # a path in a directory that does not exist, and the empty path (".")
+    for out, named in ((str(missing), str(missing)), ("", "'.'")):
+        code = main([verb, "--config", "bell_ideal", "--out", out])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and named in captured.err
+
+
 def test_oracle_check_reports_invariant_failure(monkeypatch, capsys):
     import biphoton.cli as cli_module
 

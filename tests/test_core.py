@@ -62,6 +62,9 @@ def test_grid_validation_rejects_bad_bounds():
         with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
             FrequencyGrid(1e15, 2e15, bad_count)
     assert FrequencyGrid(1e15, 2e15, np.int64(8)).points().shape == (8,)
+    for bad_half_width in (0.0, -1.0):
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            FrequencyGrid.centered(2.4e15, bad_half_width, 64)
 
 
 def test_grid_centered_points_and_weights():

@@ -48,6 +48,15 @@ def test_discretize_validation():
     for bad in (1, 0, -3, True, 2.5, 9):
         with pytest.raises(ValueError):
             discretize(state, bad)
+    # numpy integers count like FrequencyGrid's n_points
+    at_four = discretize(state, 4).pair_matrix
+    assert np.array_equal(discretize(state, np.int64(4)).pair_matrix, at_four)
+    # each half of a = (2, -1, -1, 2) has zero trapezoid sum, so the exact
+    # projection is 0 and only a rounding residue is left to renormalize
+    a = np.array([2.0, -1.0, -1.0, 2.0])
+    f = JointAmplitude(FrequencyGrid.centered(CENTER, 1e14, 4), np.outer(a, a))
+    with pytest.raises(ValueError, match="projects to zero"):
+        discretize(normalize(TwoPhotonState(f, f)), 2)
 
 
 def test_discretize_is_lossless_at_full_resolution():
@@ -455,7 +464,10 @@ def test_discretize_folds_the_path1_delay_on_random_states(seed, sizes, delay):
     _assert_delay_folds(state, k_bins, delay)
 
 
-@pytest.mark.parametrize("delay", [math.inf, -math.inf, math.nan, 1e300])
+@pytest.mark.parametrize(
+    "delay",
+    [math.inf, -math.inf, math.nan, 1e300, pytest.param(np.float64(1e300), id="np-1e300")],
+)
 def test_discretize_rejects_a_delay_without_finite_phases(delay):
     state = support.make_random_state(np.random.default_rng(5), n_points=8)
     with pytest.raises(ValueError, match="non-finite phases"):

@@ -46,6 +46,9 @@ def test_spdc_params_validation():
         SpdcParams(sigma_h=-1e13)
     with pytest.raises(ValueError):
         SpdcParams(pump_center_wavelength=0.0)
+    for name in ("pump_center_wavelength", "t_h", "t_v", "phi", "extra_group_delay_arm2"):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
+            SpdcParams(**{name: math.nan})
 
 
 def test_filter_fwhm_conversion():
@@ -58,6 +61,9 @@ def test_filter_fwhm_conversion():
         FilterParams(center_wavelength=780e-9, fwhm=0.0)
     with pytest.raises(ValueError):
         FilterParams(center_wavelength=780e-9, fwhm=20e-9, shape="boxcar")
+    for name in ("center_wavelength", "fwhm"):
+        with pytest.raises(ValueError, match=f"filter {name} must be finite and positive, got nan"):
+            FilterParams(**{name: math.nan})
 
 
 def test_gaussian_line_normalization_and_width():
@@ -77,6 +83,8 @@ def test_gaussian_line_normalization_and_width():
     for bad_center in (math.nan, math.inf):
         with pytest.raises(ValueError, match="center must be finite"):
             gaussian_line(grid, bad_center, sigma)
+    with pytest.raises(ValueError, match="envelope vanishes on the grid"):
+        gaussian_line(grid, CENTER + 1000.0 * sigma, sigma)
 
 
 def test_default_grid_covers_the_marginals():
@@ -173,6 +181,11 @@ def test_build_antisymmetric_is_bitwise_antisymmetric():
     zero = JointAmplitude(grid, np.zeros((grid.n_points, grid.n_points)))
     with pytest.raises(ValueError):
         build_antisymmetric(zero)
+    # one interior entry whose square underflows: the norm is 0, the peak is not
+    tiny = np.zeros((grid.n_points, grid.n_points))
+    tiny[grid.n_points // 2, grid.n_points // 2] = 1e-170
+    with pytest.raises(ValueError, match="envelope must be nonzero"):
+        build_antisymmetric(JointAmplitude(grid, tiny))
 
 
 def test_build_bell_psi_minus_structure():
@@ -187,6 +200,8 @@ def test_build_bell_psi_minus_structure():
 
     with pytest.raises(ValueError, match="normalized"):
         build_bell_psi_minus(2.0 * g1, g2, grid)
+    with pytest.raises(ValueError, match="envelope1 is not normalized: .* = nan"):
+        build_bell_psi_minus(np.full_like(g1, math.nan), g2, grid)
     with pytest.raises(ValueError):
         build_bell_psi_minus(np.outer(g1, g1), g2, grid)
 
