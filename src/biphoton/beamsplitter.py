@@ -57,22 +57,12 @@ def apply_path1_delay(state: TwoPhotonState, delay: float) -> TwoPhotonState:
     """
     if delay == 0.0:
         return state
-    v1, v2 = _delayed_pair(state, delay)
     grid = state.grid
-    return TwoPhotonState(JointAmplitude(grid, v1), JointAmplitude(grid, v2))
-
-
-def _delayed_pair(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.ndarray]:
-    v1 = state.f_h1v2.values
-    v2 = state.f_v1h2.values
-    if delay == 0.0:
-        return v1, v2
-    grid = state.grid
-    # float(): a numpy scalar would warn on the very overflow this looks for
-    if not math.isfinite(float(delay) * max(abs(grid.omega_min), abs(grid.omega_max))):
-        raise ValueError(f"delay {delay!r} s gives non-finite phases on the grid")
-    phase = np.exp(1j * grid.points() * delay)
-    return v1 * phase[:, None], v2 * phase[None, :]
+    phase = grid.phase(delay, "delay")
+    return TwoPhotonState(
+        JointAmplitude(grid, state.f_h1v2.values * phase[:, None]),
+        JointAmplitude(grid, state.f_v1h2.values * phase[None, :]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +121,10 @@ class BsOutputState:
         )
 
 
-def _scaled_pair(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.ndarray]:
-    """c F1 and c F2 after the path-1 delay, c = 1/(2 sqrt(2)).  The channels
-    and the alternatives (this pair up to exact signs) are built from it, so
-    each channel amplitude equals the sum of its alternatives bit for bit."""
-    v1, v2 = _delayed_pair(state, delay)
-    return _OUTPUT_PREFACTOR * v1, _OUTPUT_PREFACTOR * v2
-
-
-def bs_transform(state: TwoPhotonState, delay: float = 0.0) -> BsOutputState:
-    """Full output state of the beamsplitter for a given path-1 delay."""
-    t1, t2 = _scaled_pair(state, delay)
+def bs_transform(state: TwoPhotonState) -> BsOutputState:
+    """Full output state of the beamsplitter; compose with ``apply_path1_delay``
+    for a delayed path 1."""
+    t1, t2 = (_OUTPUT_PREFACTOR * f.values for f in (state.f_h1v2, state.f_v1h2))
     grid = state.grid
     return BsOutputState(
         a_43=JointAmplitude(grid, t1 - t2),
@@ -315,7 +298,7 @@ class FeynmanDecomposition:
     overlap_23: float
 
 
-def feynman_decomposition(state: TwoPhotonState, delay: float = 0.0) -> FeynmanDecomposition:
+def feynman_decomposition(state: TwoPhotonState) -> FeynmanDecomposition:
     """Split the coincidence amplitudes into their emission alternatives.
 
     Transmission routes 1 -> 4 and 2 -> 3 (amplitude 1/sqrt(2) each);
@@ -327,9 +310,12 @@ def feynman_decomposition(state: TwoPhotonState, delay: float = 0.0) -> FeynmanD
         psi_3 = +c F2   (both transmitted,  H3 V4)
         psi_4 = -c F2   (both reflected,    H4 V3)
 
-    with c = 1/(2 sqrt(2)) and F1, F2 the delayed input amplitudes.
+    with c = 1/(2 sqrt(2)) and F1, F2 the input amplitudes (delay path 1
+    with ``apply_path1_delay`` first).  The channels of ``bs_transform`` are
+    built from the same c F1 and c F2, so each equals the sum of its
+    alternatives bit for bit.
     """
-    t1, t2 = _scaled_pair(state, delay)
+    t1, t2 = (_OUTPUT_PREFACTOR * f.values for f in (state.f_h1v2, state.f_v1h2))
     grid = state.grid
     psi_1 = JointAmplitude(grid, t1)
     psi_4 = JointAmplitude(grid, -t2)

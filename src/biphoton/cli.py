@@ -71,14 +71,14 @@ class _Key:
 def _read_value(block: dict, path: str, key: str, spec: _Key):
     where = f"{path}.{key}"
     value = block.get(key, spec.default)
+    if key not in block:
+        if value is None:
+            raise ConfigError(f"missing key {where}")
+        return value
     if isinstance(spec.check, tuple):
         if value not in spec.check:
             allowed = " or ".join(repr(choice) for choice in spec.check)
             raise ConfigError(f"{where} must be {allowed}, got {value!r}")
-        return value
-    if key not in block:
-        if value is None:
-            raise ConfigError(f"missing key {where}")
         return value
     if spec.check == "angles":
         if (

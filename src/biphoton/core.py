@@ -95,6 +95,13 @@ class FrequencyGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.n_points)
 
+    def phase(self, t: float, what: str) -> np.ndarray:
+        """e^{i w t} on the grid; a t whose w t is not finite is refused, naming it ``what``."""
+        # float(): a numpy scalar would warn on the very overflow this looks for
+        if not math.isfinite(float(t) * max(abs(self.omega_min), abs(self.omega_max))):
+            raise ValueError(f"{what} {t!r} s gives non-finite phases on the grid")
+        return np.exp(1j * self.points() * t)
+
     def trapezoid_weights(self) -> np.ndarray:
         """1D trapezoid weights: full step inside, half step at both ends."""
         w = np.full(self.n_points, self.step)

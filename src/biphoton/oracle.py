@@ -62,18 +62,16 @@ def _mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
     ]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteModeBasis:
     """Two-photon state over the 4K discrete modes of two paths.
 
-    The constructor takes ``amplitudes``, a mapping from canonical
-    (mode, mode) pairs (the smaller mode first) to physical amplitudes:
-    the probability of finding the pair is |amplitude|^2, for
-    identical-mode pairs (a doubly occupied mode) included.  The state is
-    kept as the read-only pair matrix T of the module docstring,
-    ``pair_matrix``; ``amplitudes`` reads the nonzero pair amplitudes back
-    from it when first accessed.  captured_norm records how much of the
-    original continuum norm the K bins captured before renormalization.
+    The state is the read-only pair matrix T of the module docstring,
+    ``pair_matrix`` (4K x 4K), which the constructor keeps without copying
+    and marks read-only.  ``from_amplitudes`` builds T from a mapping of
+    pair amplitudes, and ``amplitudes`` reads the nonzero ones back from it
+    when first accessed.  captured_norm records how much of the original
+    continuum norm the K bins captured before renormalization.
     """
 
     k_bins: int
@@ -81,16 +79,21 @@ class DiscreteModeBasis:
     pair_matrix: np.ndarray = field(repr=False)
     captured_norm: float
 
-    def __init__(
-        self,
-        k_bins: int,
-        paths: tuple[int, int],
-        amplitudes: Mapping[tuple[Mode, Mode], complex],
-        captured_norm: float,
-    ) -> None:
-        paths = tuple(paths)
-        if len(paths) != 2 or not paths[0] < paths[1]:
-            raise ValueError(f"paths must be two increasing path labels, got {paths}")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "paths", _checked_paths(self.paths))
+        shape = (4 * self.k_bins, 4 * self.k_bins)
+        if self.pair_matrix.shape != shape:
+            raise ValueError(f"pair_matrix shape {self.pair_matrix.shape} is not {shape}")
+        self.pair_matrix.setflags(write=False)
+        object.__setattr__(self, "captured_norm", float(self.captured_norm))
+
+    @classmethod
+    def from_amplitudes(
+        cls, k_bins: int, paths: tuple[int, int], amplitudes: Mapping, captured_norm: float
+    ) -> "DiscreteModeBasis":
+        """Basis from a mapping of canonical (mode, mode) pairs, the smaller mode first, to
+        physical amplitudes: |amplitude|^2 is the pair's probability, doubly occupied modes too."""
+        paths = _checked_paths(paths)
         index = {mode: i for i, mode in enumerate(_mode_list(paths, k_bins))}
         t = np.zeros((len(index), len(index)), dtype=np.complex128)
         for (mode_a, mode_b), amp in amplitudes.items():
@@ -105,7 +108,7 @@ class DiscreteModeBasis:
             else:
                 t[i, j] += 0.5 * amp
                 t[j, i] += 0.5 * amp
-        _fill(self, k_bins, paths, t, captured_norm)
+        return cls(k_bins, paths, t, captured_norm)
 
     @cached_property
     def amplitudes(self) -> Mapping[tuple[Mode, Mode], complex]:
@@ -125,21 +128,11 @@ class DiscreteModeBasis:
         return 2.0 * _squared_norm(self.pair_matrix)
 
 
-def _fill(basis: DiscreteModeBasis, k_bins, paths, t: np.ndarray, captured_norm) -> None:
-    t.setflags(write=False)
-    for name, value in (
-        ("k_bins", k_bins),
-        ("paths", tuple(paths)),
-        ("pair_matrix", t),
-        ("captured_norm", float(captured_norm)),
-    ):
-        object.__setattr__(basis, name, value)
-
-
-def _from_pair_matrix(k_bins: int, paths, t: np.ndarray, captured_norm) -> DiscreteModeBasis:
-    basis = DiscreteModeBasis.__new__(DiscreteModeBasis)
-    _fill(basis, k_bins, paths, t, captured_norm)
-    return basis
+def _checked_paths(paths) -> tuple[int, int]:
+    paths = tuple(paths)
+    if len(paths) != 2 or not paths[0] < paths[1]:
+        raise ValueError(f"paths must be two increasing path labels, got {paths}")
+    return paths
 
 
 def _squared_norm(a: np.ndarray) -> float:
@@ -188,9 +181,7 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
     bins, w, root_w = _flat_bins(state.grid, k_bins)
     aggregate = np.zeros((k_bins, bins.size))
     aggregate[bins, np.arange(bins.size)] = w / root_w[bins]
-    if not math.isfinite(float(delay) * max(abs(state.grid.omega_min), abs(state.grid.omega_max))):
-        raise ValueError(f"delay {delay!r} s gives non-finite phases on the grid")
-    delayed = aggregate * np.exp(1j * delay * state.grid.points())
+    delayed = aggregate * state.grid.phase(delay, "delay")
     # Real BLAS products on float64 views (F1's weights stack their two parts).
     both = np.concatenate((delayed.real, delayed.imag)) @ state.f_h1v2.values.view(np.float64)
     both = both.view(np.complex128)
@@ -209,7 +200,7 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
     t[_V1, :, _H2, :] = scale * c2.T
     t[_V2, :, _H1, :] = t[_H1, :, _V2, :].T
     t[_H2, :, _V1, :] = t[_V1, :, _H2, :].T
-    return _from_pair_matrix(k_bins, (1, 2), t.reshape(4 * k_bins, 4 * k_bins), captured)
+    return DiscreteModeBasis(k_bins, (1, 2), t.reshape(4 * k_bins, 4 * k_bins), captured)
 
 
 def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
@@ -264,7 +255,7 @@ def apply_bs_exact(basis: DiscreteModeBasis) -> DiscreteModeBasis:
     half = 2 * basis.k_bins
     rows = _PATH_UNITARY @ basis.pair_matrix.reshape(2, -1)
     t_out = _PATH_UNITARY @ rows.reshape(2 * half, 2, half)
-    return _from_pair_matrix(
+    return DiscreteModeBasis(
         basis.k_bins, (3, 4), t_out.reshape(2 * half, 2 * half), basis.captured_norm
     )
 

@@ -198,8 +198,7 @@ def type2_joint_envelope(params: SpdcParams, grid: FrequencyGrid) -> JointAmplit
     with G Gaussian photon envelopes around the degenerate frequency and P
     the Gaussian pump envelope around the pump frequency.  Not normalized.
     """
-    w = grid.points()
-    values = np.outer(np.exp(1j * w * params.t_h), np.exp(1j * w * params.t_v))
+    values = np.outer(grid.phase(params.t_h, "t_h"), grid.phase(params.t_v, "t_v"))
     values *= _type2_factors(params, grid)[3]
     return JointAmplitude(grid, values)
 
@@ -236,10 +235,10 @@ def build_type2_ultrafast(
         return float((pump * pump) @ np.convolve(w * tau * g_h**2, w * tau * g_v**2))
 
     t, total = _filter_transmission(filt, grid, norm_with) if filt else (1.0, norm_with(1.0))
-    points = grid.points()
-    row = (t / math.sqrt(total)) * np.exp(1j * points * params.t_h)
-    col = t * np.exp(1j * points * params.t_v)
-    arm2 = 1.0 if antisymmetric else np.exp(1j * points * params.extra_group_delay_arm2)
+    row = (t / math.sqrt(total)) * grid.phase(params.t_h, "t_h")
+    col = t * grid.phase(params.t_v, "t_v")
+    delay2 = params.extra_group_delay_arm2
+    arm2 = 1.0 if antisymmetric else grid.phase(delay2, "extra_group_delay_arm2")
     f1 = np.outer(row, col * arm2)
     f1 *= magnitude
     if antisymmetric:

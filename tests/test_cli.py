@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,14 @@ PRESET_NAMES = {
 }
 
 NUMBER_RE = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
+
+#: A two_color source block without its required ``case``.
+_TWO_COLOR_WITHOUT_CASE = {
+    "type": "two_color",
+    "red_offset_rad_per_s": -1.2e14,
+    "blue_offset_rad_per_s": 1.2e14,
+    "bandwidth_rad_per_s": 2.0e13,
+}
 
 
 def _valid_config() -> dict:
@@ -179,6 +188,11 @@ def test_parse_config_defaults_for_optional_analysis_block():
         (lambda r: r.update(source="type2_ultrafast"), "source must be an object"),
         (lambda r: r.update(extra=1), "unknown key <root>.extra"),
         (lambda r: r.update(description=3), "description must be a string"),
+        (lambda r: r.update(source=dict(_TWO_COLOR_WITHOUT_CASE)), "missing key source.case"),
+        (
+            lambda r: r.update(source={**_TWO_COLOR_WITHOUT_CASE, "case": None}),
+            "source.case must be 'i' or 'ii', got None",
+        ),
     ],
 )
 def test_parse_config_rejects_bad_input(mutate, message):
@@ -188,6 +202,12 @@ def test_parse_config_rejects_bad_input(mutate, message):
         parse_config(raw)
     with pytest.raises(ConfigError, match="configuration root must be an object"):
         parse_config([raw])
+
+
+def test_parse_config_defaults_a_missing_filter_shape():
+    raw = _valid_config()
+    del raw["source"]["filter"]["shape"]
+    assert parse_config(raw).source["filter"].shape == "gaussian"
 
 
 def test_scan_writes_csv_and_report(tmp_path, capsys):
@@ -478,6 +498,22 @@ def test_library_preconditions_surface_as_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "separation" in err
+
+
+@pytest.mark.parametrize(
+    "key, name", [("walkoff_fs", "t_v"), ("extra_group_delay_arm2_fs", "extra_group_delay_arm2")]
+)
+def test_a_delay_without_finite_phases_is_a_config_error_naming_it(tmp_path, capsys, key, name):
+    preset = resources.files("biphoton").joinpath("presets", "uncompensated_peak.json")
+    raw = json.loads(preset.read_text(encoding="utf-8"))
+    raw["source"][key] = 1e308
+    code = main(["classify", "--config", _write_config(tmp_path, raw)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert re.fullmatch(
+        f"config error: {name} \\S+ s gives non-finite phases on the grid\n", captured.err
+    )
 
 
 def test_grid_points_override(tmp_path, capsys):

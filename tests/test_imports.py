@@ -68,3 +68,65 @@ def test_unused_import_detection():
         "x = np.zeros(1) * pi + os.sep\n"
     )
     assert unused_imports(source) == ["tau (line 4)"]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions (function, class or assignment) in
+    ``sources`` (module name -> source) that no code outside the definition
+    itself reads, in that module or another."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined.extend(
+                        (module, name.id, node)
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name)
+                    )
+    orphans = []
+    for module, name, definition in defined:
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        inside = {id(node) for node in ast.walk(definition)}
+        referenced = any(
+            id(node) not in inside
+            and (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name)
+            )
+            for tree in trees.values()
+            for node in ast.walk(tree)
+        )
+        if not referenced:
+            orphans.append(f"{module}.{name}")
+    return sorted(orphans)
+
+
+def test_every_private_helper_is_used():
+    package = ROOT / "src" / "biphoton"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    assert orphaned_private_names(sources) == []
+
+
+def test_orphaned_private_name_detection():
+    sources = {
+        "a": (
+            "_LIMIT, _UNUSED = 1, 2\n"
+            "_TABLE: dict = {}\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1) if n else _LIMIT\n"
+            "def _kept():\n"
+            "    return 0\n"
+            "class _Box:\n"
+            "    pass\n"
+            "__all__ = []\n"
+        ),
+        "b": "from .a import _kept\nx = _kept()\n",
+    }
+    assert orphaned_private_names(sources) == ["a._Box", "a._TABLE", "a._UNUSED", "a._loop"]

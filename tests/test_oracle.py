@@ -37,7 +37,7 @@ CENTER = wavelength_to_angular_frequency(780e-9)
 
 
 def _single_pair_basis(amplitudes):
-    return DiscreteModeBasis(
+    return DiscreteModeBasis.from_amplitudes(
         k_bins=2, paths=(1, 2), amplitudes=dict(amplitudes), captured_norm=1.0
     )
 
@@ -366,7 +366,7 @@ def _hand_built_bases():
 
 @pytest.mark.parametrize("k_bins, amplitudes", _hand_built_bases())
 def test_dense_oracle_matches_the_pair_loops_on_hand_built_bases(k_bins, amplitudes):
-    dense = DiscreteModeBasis(
+    dense = DiscreteModeBasis.from_amplitudes(
         k_bins=k_bins, paths=(1, 2), amplitudes=amplitudes, captured_norm=1.0
     )
     reference = support.DictBasis(k_bins, (1, 2), dict(amplitudes), 1.0)
@@ -383,7 +383,22 @@ def test_basis_constructor_rejects_modes_outside_the_basis():
         with pytest.raises(ValueError, match="not a pair of the 2-bin modes"):
             _single_pair_basis({pair: 1.0 + 0.0j})
     with pytest.raises(ValueError, match="paths"):
-        DiscreteModeBasis(k_bins=2, paths=(2, 1), amplitudes={}, captured_norm=1.0)
+        DiscreteModeBasis.from_amplitudes(
+            k_bins=2, paths=(2, 1), amplitudes={}, captured_norm=1.0
+        )
+
+
+def test_basis_constructor_keeps_a_square_4k_pair_matrix_read_only():
+    with pytest.raises(ValueError, match=r"pair_matrix shape \(4, 4\) is not \(8, 8\)"):
+        DiscreteModeBasis(2, (1, 2), np.zeros((4, 4), complex), 1.0)
+    with pytest.raises(ValueError, match="paths"):
+        DiscreteModeBasis(2, (2, 1), np.zeros((8, 8), complex), 1.0)
+    t = np.zeros((8, 8), complex)
+    basis = DiscreteModeBasis(2, [1, 2], t, 1)
+    assert basis.pair_matrix is t
+    assert not t.flags.writeable
+    assert basis.paths == (1, 2)
+    assert basis.captured_norm == 1.0 and isinstance(basis.captured_norm, float)
 
 
 def test_basis_amplitudes_are_read_only():

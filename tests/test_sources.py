@@ -326,6 +326,19 @@ def test_spdc_params_reject_widths_whose_square_is_not_finite():
     SpdcParams(sigma_h=1e150, sigma_v=1e-150)
 
 
+def test_builders_refuse_an_emission_time_without_finite_phases():
+    # t_v w overflows on the grid although t_v itself is finite
+    p = SpdcParams(t_v=1e293)
+    grid = default_grid(p, 64)
+    for build in (
+        lambda: build_type2_ultrafast(p, grid),
+        lambda: build_type2_ultrafast(p, grid, antisymmetric=True),
+        lambda: type2_joint_envelope(p, grid),
+    ):
+        with pytest.raises(ValueError, match="t_v 1e[+]293 s gives non-finite phases on the grid"):
+            build()
+
+
 def test_filter_params_reject_a_fwhm_not_below_the_center():
     for fwhm in (780e-9, 2e-6):
         with pytest.raises(ValueError, match="filter fwhm"):
