@@ -45,7 +45,6 @@ from .correlation import (
 )
 from .oracle import (
     DiscreteModeBasis,
-    Mode,
     apply_bs_exact,
     discretize,
     outcome_probabilities,
@@ -84,7 +83,6 @@ __all__ = [
     "FrequencyGrid",
     "InvariantError",
     "JointAmplitude",
-    "Mode",
     "SpdcParams",
     "SymmetryReport",
     "TwoPhotonState",

@@ -87,6 +87,9 @@ def _read_value(block: dict, path: str, key: str, spec: _Key):
             or any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in value)
         ):
             raise ConfigError(f"{where} must be a list of 4 numbers")
+        for a in value:
+            if not math.isfinite(a):
+                raise ConfigError(f"{where} must be finite, got {a!r}")
         return tuple(float(a) for a in value)
     if spec.check == "count":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -504,9 +507,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, ValueError) as exc:
+    except (MemoryError, OSError, ValueError) as exc:
         # Library preconditions triggered by configuration values land here
-        # too (grid too narrow, scan span too small, ...), as do unwritable --out paths.
+        # too (grid too narrow, scan span too small, ...), as do unwritable --out
+        # paths and grids too large to allocate.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -52,7 +52,10 @@ def wavelength_to_angular_frequency(wavelength: float) -> float:
     """Convert a vacuum wavelength in meters to angular frequency in rad/s."""
     if not math.isfinite(wavelength) or wavelength <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return 2.0 * math.pi * SPEED_OF_LIGHT / wavelength
+    omega = 2.0 * math.pi * SPEED_OF_LIGHT / wavelength
+    if not math.isfinite(omega):
+        raise ValueError(f"wavelength {wavelength!r} m gives a non-finite angular frequency")
+    return omega
 
 
 @dataclass(frozen=True)

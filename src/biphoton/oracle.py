@@ -25,11 +25,7 @@ consistency check rather than the same integral computed twice.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,32 +41,13 @@ _PATH_UNITARY = np.array([[1j, 1.0], [1.0, 1j]]) / _ROOT_TWO
 _H1, _V1, _H2, _V2 = range(4)
 
 
-class Mode(NamedTuple):
-    """One bosonic mode: which path, which polarization, which bin."""
-
-    path: int
-    pol: str
-    bin_index: int
-
-
-def _mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
-    return [
-        Mode(path, pol, k)
-        for path in paths
-        for pol in ("H", "V")
-        for k in range(k_bins)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteModeBasis:
     """Two-photon state over the 4K discrete modes of two paths.
 
     The state is the read-only pair matrix T of the module docstring,
     ``pair_matrix`` (4K x 4K), which the constructor keeps without copying
-    and marks read-only.  ``from_amplitudes`` builds T from a mapping of
-    pair amplitudes, and ``amplitudes`` reads the nonzero ones back from it
-    when first accessed.  captured_norm records how much of the original
+    and marks read-only.  captured_norm records how much of the original
     continuum norm the K bins captured before renormalization.
     """
 
@@ -80,59 +57,18 @@ class DiscreteModeBasis:
     captured_norm: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", _checked_paths(self.paths))
+        paths = tuple(self.paths)
+        if len(paths) != 2 or not paths[0] < paths[1]:
+            raise ValueError(f"paths must be two increasing path labels, got {paths}")
+        object.__setattr__(self, "paths", paths)
         shape = (4 * self.k_bins, 4 * self.k_bins)
         if self.pair_matrix.shape != shape:
             raise ValueError(f"pair_matrix shape {self.pair_matrix.shape} is not {shape}")
         self.pair_matrix.setflags(write=False)
         object.__setattr__(self, "captured_norm", float(self.captured_norm))
 
-    @classmethod
-    def from_amplitudes(
-        cls, k_bins: int, paths: tuple[int, int], amplitudes: Mapping, captured_norm: float
-    ) -> "DiscreteModeBasis":
-        """Basis from a mapping of canonical (mode, mode) pairs, the smaller mode first, to
-        physical amplitudes: |amplitude|^2 is the pair's probability, doubly occupied modes too."""
-        paths = _checked_paths(paths)
-        index = {mode: i for i, mode in enumerate(_mode_list(paths, k_bins))}
-        t = np.zeros((len(index), len(index)), dtype=np.complex128)
-        for (mode_a, mode_b), amp in amplitudes.items():
-            if mode_a not in index or mode_b not in index:
-                raise ValueError(
-                    f"pair {(mode_a, mode_b)} is not a pair of the {k_bins}-bin "
-                    f"modes on paths {paths}"
-                )
-            i, j = index[mode_a], index[mode_b]
-            if i == j:
-                t[i, i] += amp / _ROOT_TWO
-            else:
-                t[i, j] += 0.5 * amp
-                t[j, i] += 0.5 * amp
-        return cls(k_bins, paths, t, captured_norm)
-
-    @cached_property
-    def amplitudes(self) -> Mapping[tuple[Mode, Mode], complex]:
-        modes = _mode_list(self.paths, self.k_bins)
-        t = self.pair_matrix
-        pairs = 2.0 * np.triu(t, 1)
-        np.fill_diagonal(pairs, _ROOT_TWO * np.diagonal(t))
-        rows, cols = np.nonzero(pairs)
-        return MappingProxyType(
-            {
-                (modes[i], modes[j]): complex(pairs[i, j])
-                for i, j in zip(rows.tolist(), cols.tolist())
-            }
-        )
-
     def total_probability(self) -> float:
         return 2.0 * _squared_norm(self.pair_matrix)
-
-
-def _checked_paths(paths) -> tuple[int, int]:
-    paths = tuple(paths)
-    if len(paths) != 2 or not paths[0] < paths[1]:
-        raise ValueError(f"paths must be two increasing path labels, got {paths}")
-    return paths
 
 
 def _squared_norm(a: np.ndarray) -> float:

@@ -18,7 +18,8 @@ library's factored build.  ``direct_discretize``,
 ``direct_apply_bs_exact``, ``direct_outcome_probabilities`` and
 ``direct_reconstruct`` are the discrete-mode oracle written as per-pair
 dict loops over mode pairs, the reference for the library's dense pair
-matrix.
+matrix; ``pair_matrix``, ``pair_amplitudes`` and ``as_dict_basis`` convert
+between the dict of pair amplitudes and the pair matrix T.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from biphoton import (
     FrequencyGrid,
     JointAmplitude,
-    Mode,
     TwoPhotonState,
     inner_product,
     norm_squared,
@@ -337,6 +337,14 @@ def direct_bell_residual(state: TwoPhotonState) -> float:
     return 0.5 * float(np.sum(_weights_2d(state) * np.abs(summed) ** 2))
 
 
+class Mode(NamedTuple):
+    """One bosonic mode: which path, which polarization, which bin."""
+
+    path: int
+    pol: str
+    bin_index: int
+
+
 class DictBasis(NamedTuple):
     """A discrete-mode two-photon state as a dict of pair amplitudes.
 
@@ -359,6 +367,42 @@ def _pair_key(a: Mode, b: Mode) -> tuple[Mode, Mode]:
 
 def _dict_mode_list(paths: tuple[int, int], k_bins: int) -> list[Mode]:
     return [Mode(path, pol, k) for path in paths for pol in ("H", "V") for k in range(k_bins)]
+
+
+def pair_matrix(k_bins: int, paths: tuple[int, int], amplitudes: dict) -> np.ndarray:
+    """The pair matrix T of canonical pair amplitudes: a doubly occupied
+    mode's amplitude a is sqrt(2) T[i, i], any other pair's 2 T[i, j]."""
+    index = {mode: i for i, mode in enumerate(_dict_mode_list(paths, k_bins))}
+    t = np.zeros((len(index), len(index)), dtype=np.complex128)
+    for (mode_a, mode_b), amp in amplitudes.items():
+        i, j = index[mode_a], index[mode_b]
+        if i == j:
+            t[i, i] = amp / math.sqrt(2.0)
+        else:
+            t[i, j] += 0.5 * amp
+            t[j, i] += 0.5 * amp
+    return t
+
+
+def pair_amplitudes(k_bins: int, paths: tuple[int, int], t: np.ndarray) -> dict:
+    """The nonzero canonical pair amplitudes of the pair matrix T."""
+    modes = _dict_mode_list(paths, k_bins)
+    amplitudes: dict = {}
+    for i, mode_a in enumerate(modes):
+        diag = math.sqrt(2.0) * t[i, i]
+        if diag != 0.0:
+            amplitudes[(mode_a, mode_a)] = complex(diag)
+        for j in range(i + 1, len(modes)):
+            amp = 2.0 * t[i, j]
+            if amp != 0.0:
+                amplitudes[_pair_key(mode_a, modes[j])] = complex(amp)
+    return amplitudes
+
+
+def as_dict_basis(basis) -> DictBasis:
+    """A library ``DiscreteModeBasis`` as the dict of its pair amplitudes."""
+    amplitudes = pair_amplitudes(basis.k_bins, basis.paths, basis.pair_matrix)
+    return DictBasis(basis.k_bins, basis.paths, amplitudes, basis.captured_norm)
 
 
 def bin_blocks(grid: FrequencyGrid, k_bins: int):
@@ -405,14 +449,7 @@ def direct_apply_bs_exact(basis: DictBasis) -> DictBasis:
     index_in = {m: i for i, m in enumerate(modes_in)}
     index_out = {m: i for i, m in enumerate(modes_out)}
     n_modes = len(modes_in)
-    t = np.zeros((n_modes, n_modes), dtype=np.complex128)
-    for (mode_a, mode_b), amp in basis.amplitudes.items():
-        i, j = index_in[mode_a], index_in[mode_b]
-        if i == j:
-            t[i, i] = amp / math.sqrt(2.0)
-        else:
-            t[i, j] += 0.5 * amp
-            t[j, i] += 0.5 * amp
+    t = pair_matrix(k_bins, (1, 2), basis.amplitudes)
     u = np.zeros((n_modes, n_modes), dtype=np.complex128)
     r = 1.0 / math.sqrt(2.0)
     for pol in ("H", "V"):
@@ -424,15 +461,7 @@ def direct_apply_bs_exact(basis: DictBasis) -> DictBasis:
             u[index_out[Mode(3, pol, k)], col2] = r
             u[index_out[Mode(4, pol, k)], col2] = 1j * r
     t_out = u @ t @ u.T
-    amplitudes: dict = {}
-    for i, mode_a in enumerate(modes_out):
-        diag = math.sqrt(2.0) * t_out[i, i]
-        if diag != 0.0:
-            amplitudes[(mode_a, mode_a)] = complex(diag)
-        for j in range(i + 1, n_modes):
-            amp = 2.0 * t_out[i, j]
-            if amp != 0.0:
-                amplitudes[_pair_key(mode_a, modes_out[j])] = complex(amp)
+    amplitudes = pair_amplitudes(k_bins, (3, 4), t_out)
     return DictBasis(k_bins, (3, 4), amplitudes, basis.captured_norm)
 
 

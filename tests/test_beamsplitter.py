@@ -329,6 +329,18 @@ def test_delay_scan_rejects_short_spans(minus_state):
         delay_scan(state, [-1e300, 0.0, 1e300])
 
 
+def test_delay_scan_refuses_a_zero_background(minus_state, monkeypatch):
+    import biphoton.beamsplitter as beamsplitter_module
+
+    state, _ = minus_state
+    tau_c = coherence_time(state)
+    monkeypatch.setattr(
+        beamsplitter_module, "_rates", lambda spec, delays, mode_overlap: np.zeros(delays.size)
+    )
+    with pytest.raises(ValueError, match="scan background is zero"):
+        delay_scan(state, np.linspace(-12.0 * tau_c, 12.0 * tau_c, 41))
+
+
 def test_feynman_sums_reproduce_the_coincidence_amplitudes():
     rng = np.random.default_rng(11)
     for delay in (0.0, 4e-14):

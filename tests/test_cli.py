@@ -166,6 +166,14 @@ def test_parse_config_defaults_for_optional_analysis_block():
             "list of 4 numbers",
         ),
         (
+            lambda r: r["analysis"].update(chsh_angles_rad=[math.nan, 0.0, 0.0, 0.0]),
+            "analysis.chsh_angles_rad must be finite, got nan",
+        ),
+        (
+            lambda r: r["analysis"].update(chsh_angles_rad=[0.0, 0.0, 0.0, math.inf]),
+            "analysis.chsh_angles_rad must be finite, got inf",
+        ),
+        (
             lambda r: r["analysis"].update(mode_overlap_epsilon=1.5),
             "mode_overlap_epsilon",
         ),
@@ -516,6 +524,30 @@ def test_a_delay_without_finite_phases_is_a_config_error_naming_it(tmp_path, cap
     )
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["grid"].update(center_wavelength_nm=1e-292),
+        lambda r: r["source"].update(pump_center_wavelength_nm=1e-292),
+        # a FWHM below the center, so the center itself is converted
+        lambda r: r["source"]["filter"].update(center_wavelength_nm=1e-292, fwhm_nm=1e-295),
+    ],
+    ids=["grid", "pump", "filter"],
+)
+def test_a_wavelength_without_a_finite_frequency_is_a_config_error_naming_it(
+    tmp_path, capsys, mutate
+):
+    raw = _valid_config()
+    mutate(raw)
+    code = main(["classify", "--config", _write_config(tmp_path, raw)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: wavelength 1e-301 m gives a non-finite angular frequency\n"
+    )
+
+
 def test_grid_points_override(tmp_path, capsys):
     code = main(["classify", "--config", "uncompensated_peak", "--grid-points", "96"])
     assert code == EXIT_OK
@@ -678,6 +710,22 @@ def test_unnormalized_state_is_an_invariant_failure_not_a_config_error(monkeypat
     assert code == EXIT_INVARIANT
     assert captured.err.startswith("invariant failure: state is not normalized"), captured.err
     assert captured.out == ""
+
+
+def test_an_allocation_failure_is_a_config_error(monkeypatch, capsys):
+    import biphoton.cli as cli_module
+
+    message = "Unable to allocate 233. TiB for an array with shape (4000000, 4000000)"
+
+    def unallocatable(source, grid):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "_build_source", unallocatable)
+    code = main(["classify", "--config", "bell_ideal"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_invariant_error_is_a_value_error_raised_by_the_norm_check():

@@ -43,7 +43,8 @@ def test_wavelength_conversion_matches_direct_formula():
     assert wavelength_to_angular_frequency(780e-9) == pytest.approx(
         expected, rel=1e-15
     )
-    for bad in (0.0, -1e-9, math.nan):
+    # 1e-300 m: 2 pi c / lambda overflows to inf
+    for bad in (0.0, -1e-9, math.nan, 1e-300):
         with pytest.raises(ValueError):
             wavelength_to_angular_frequency(bad)
 

@@ -130,3 +130,33 @@ def test_orphaned_private_name_detection():
         "b": "from .a import _kept\nx = _kept()\n",
     }
     assert orphaned_private_names(sources) == ["a._Box", "a._TABLE", "a._UNUSED", "a._loop"]
+
+
+def test_oracle_shares_no_code_with_the_quadrature_path():
+    """The oracle is an independent check of the quadrature route only while
+    it computes on its own: from the package it takes the two state
+    containers and names no quadrature helper."""
+    tree = ast.parse((ROOT / "src" / "biphoton" / "oracle.py").read_text(encoding="utf-8"))
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "biphoton"
+        ):
+            package_imports.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            package_imports.update(
+                (alias.name, None) for alias in node.names if alias.name.split(".")[0] == "biphoton"
+            )
+    assert package_imports == {("core", "JointAmplitude"), ("core", "TwoPhotonState")}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    quadrature = {
+        "trapezoid_weights",
+        "reductions",
+        "spectra",
+        "_weighted_blocks",
+        "inner_product",
+        "norm_squared",
+        "coincidence_probability",
+    }
+    assert named & quadrature == set()

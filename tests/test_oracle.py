@@ -13,7 +13,6 @@ from biphoton import (
     DiscreteModeBasis,
     FrequencyGrid,
     JointAmplitude,
-    Mode,
     SpdcParams,
     TwoPhotonState,
     apply_bs_exact,
@@ -32,14 +31,13 @@ from biphoton import (
     wavelength_to_angular_frequency,
 )
 from biphoton.cli import load_config
+from support import Mode
 
 CENTER = wavelength_to_angular_frequency(780e-9)
 
 
 def _single_pair_basis(amplitudes):
-    return DiscreteModeBasis.from_amplitudes(
-        k_bins=2, paths=(1, 2), amplitudes=dict(amplitudes), captured_norm=1.0
-    )
+    return DiscreteModeBasis(2, (1, 2), support.pair_matrix(2, (1, 2), amplitudes), 1.0)
 
 
 def test_discretize_validation():
@@ -68,22 +66,23 @@ def test_discretize_is_lossless_at_full_resolution():
     # single-point bins: c[k, m] = sqrt(w_k w_m) F[k, m], pair amplitude
     # carries the extra 1/sqrt(2)
     w = state.grid.trapezoid_weights()
+    amplitudes = support.as_dict_basis(basis).amplitudes
     for k, m in ((0, 0), (3, 5), (7, 2)):
         expected = (
             math.sqrt(w[k] * w[m]) * state.f_h1v2.values[k, m] / math.sqrt(2.0)
         )
-        got = basis.amplitudes[(Mode(1, "H", k), Mode(2, "V", m))]
+        got = amplitudes[(Mode(1, "H", k), Mode(2, "V", m))]
         assert got == pytest.approx(expected, rel=1e-9)
 
 
 def test_discretize_preserves_exchange_antisymmetry_per_bin():
     p = SpdcParams(t_v=0.0)
     state = build_antisymmetric(type2_joint_envelope(p, default_grid(p)))
-    basis = discretize(state, 5)
+    amplitudes = support.as_dict_basis(discretize(state, 5)).amplitudes
     for k in range(5):
         for m in range(5):
-            a1 = basis.amplitudes.get((Mode(1, "H", k), Mode(2, "V", m)), 0.0)
-            a2 = basis.amplitudes.get((Mode(1, "V", m), Mode(2, "H", k)), 0.0)
+            a1 = amplitudes.get((Mode(1, "H", k), Mode(2, "V", m)), 0.0)
+            a2 = amplitudes.get((Mode(1, "V", m), Mode(2, "H", k)), 0.0)
             assert a2 == pytest.approx(-a1, rel=1e-12, abs=1e-18)
 
 
@@ -115,6 +114,7 @@ def test_captured_norm_collapses_under_subbin_phase_oscillation():
 def test_beamsplitter_on_a_single_cross_path_pair():
     basis = _single_pair_basis({(Mode(1, "H", 0), Mode(2, "V", 0)): 1.0 + 0.0j})
     out = apply_bs_exact(basis)
+    amplitudes = support.as_dict_basis(out).amplitudes
     # (i H3 + H4)(V3 + i V4)/2: four alternatives of magnitude 1/2
     expected = {
         (Mode(3, "H", 0), Mode(3, "V", 0)): 0.5j,
@@ -122,9 +122,9 @@ def test_beamsplitter_on_a_single_cross_path_pair():
         (Mode(3, "V", 0), Mode(4, "H", 0)): 0.5,
         (Mode(4, "H", 0), Mode(4, "V", 0)): 0.5j,
     }
-    assert set(out.amplitudes) == set(expected)
+    assert set(amplitudes) == set(expected)
     for key, val in expected.items():
-        assert out.amplitudes[key] == pytest.approx(val, abs=1e-15)
+        assert amplitudes[key] == pytest.approx(val, abs=1e-15)
     probs = outcome_probabilities(out)
     assert probs["coincidence"] == pytest.approx(0.5, abs=1e-15)
     assert probs["both_in_3"] == pytest.approx(0.25, abs=1e-15)
@@ -136,9 +136,10 @@ def test_beamsplitter_on_a_doubly_occupied_mode():
     # this exercises the bosonic sqrt(2) bookkeeping on the diagonal
     basis = _single_pair_basis({(Mode(1, "H", 1), Mode(1, "H", 1)): 1.0 + 0.0j})
     out = apply_bs_exact(basis)
-    same_3 = out.amplitudes[(Mode(3, "H", 1), Mode(3, "H", 1))]
-    same_4 = out.amplitudes[(Mode(4, "H", 1), Mode(4, "H", 1))]
-    split = out.amplitudes[(Mode(3, "H", 1), Mode(4, "H", 1))]
+    amplitudes = support.as_dict_basis(out).amplitudes
+    same_3 = amplitudes[(Mode(3, "H", 1), Mode(3, "H", 1))]
+    same_4 = amplitudes[(Mode(4, "H", 1), Mode(4, "H", 1))]
+    split = amplitudes[(Mode(3, "H", 1), Mode(4, "H", 1))]
     assert abs(same_3) == pytest.approx(0.5, abs=1e-15)
     assert abs(same_4) == pytest.approx(0.5, abs=1e-15)
     assert abs(split) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
@@ -197,9 +198,11 @@ def test_reconstruct_round_trip():
     grid = state.grid
     again = discretize(reconstruct(basis, grid), 8)
     assert again.captured_norm == pytest.approx(1.0, abs=1e-12)
-    assert set(again.amplitudes) == set(basis.amplitudes)
-    for key, val in basis.amplitudes.items():
-        assert again.amplitudes[key] == pytest.approx(val, rel=1e-9, abs=1e-15)
+    got = support.as_dict_basis(again).amplitudes
+    expected = support.as_dict_basis(basis).amplitudes
+    assert set(got) == set(expected)
+    for key, val in expected.items():
+        assert got[key] == pytest.approx(val, rel=1e-9, abs=1e-15)
 
     out = apply_bs_exact(basis)
     with pytest.raises(ValueError):
@@ -280,8 +283,9 @@ PRESETS = (
 def _assert_same_basis(dense, reference):
     assert (dense.k_bins, dense.paths) == (reference.k_bins, reference.paths)
     assert abs(dense.captured_norm - reference.captured_norm) <= EQUIV_TOL
-    for key in set(dense.amplitudes) | set(reference.amplitudes):
-        got = dense.amplitudes.get(key, 0.0)
+    amplitudes = support.as_dict_basis(dense).amplitudes
+    for key in set(amplitudes) | set(reference.amplitudes):
+        got = amplitudes.get(key, 0.0)
         expected = reference.amplitudes.get(key, 0.0)
         assert abs(got - expected) <= EQUIV_TOL, (key, got, expected)
     assert abs(dense.total_probability() - reference.total_probability()) <= EQUIV_TOL
@@ -366,26 +370,13 @@ def _hand_built_bases():
 
 @pytest.mark.parametrize("k_bins, amplitudes", _hand_built_bases())
 def test_dense_oracle_matches_the_pair_loops_on_hand_built_bases(k_bins, amplitudes):
-    dense = DiscreteModeBasis.from_amplitudes(
-        k_bins=k_bins, paths=(1, 2), amplitudes=amplitudes, captured_norm=1.0
+    dense = DiscreteModeBasis(
+        k_bins, (1, 2), support.pair_matrix(k_bins, (1, 2), amplitudes), 1.0
     )
     reference = support.DictBasis(k_bins, (1, 2), dict(amplitudes), 1.0)
-    assert set(dense.amplitudes) == set(amplitudes)
+    assert set(support.as_dict_basis(dense).amplitudes) == set(amplitudes)
     _assert_same_basis(dense, reference)
     _assert_same_transform(dense, reference)
-
-
-def test_basis_constructor_rejects_modes_outside_the_basis():
-    for pair in (
-        (Mode(1, "H", 0), Mode(2, "V", 2)),  # bin 2 of a 2-bin basis
-        (Mode(1, "H", 0), Mode(3, "V", 0)),  # an output path
-    ):
-        with pytest.raises(ValueError, match="not a pair of the 2-bin modes"):
-            _single_pair_basis({pair: 1.0 + 0.0j})
-    with pytest.raises(ValueError, match="paths"):
-        DiscreteModeBasis.from_amplitudes(
-            k_bins=2, paths=(2, 1), amplitudes={}, captured_norm=1.0
-        )
 
 
 def test_basis_constructor_keeps_a_square_4k_pair_matrix_read_only():
@@ -397,16 +388,10 @@ def test_basis_constructor_keeps_a_square_4k_pair_matrix_read_only():
     basis = DiscreteModeBasis(2, [1, 2], t, 1)
     assert basis.pair_matrix is t
     assert not t.flags.writeable
-    assert basis.paths == (1, 2)
-    assert basis.captured_norm == 1.0 and isinstance(basis.captured_norm, float)
-
-
-def test_basis_amplitudes_are_read_only():
-    basis = _single_pair_basis({(Mode(1, "H", 0), Mode(2, "V", 1)): 1.0 + 0.0j})
-    with pytest.raises(TypeError):
-        basis.amplitudes[(Mode(1, "H", 1), Mode(2, "V", 0))] = 1.0
     with pytest.raises(ValueError):
         basis.pair_matrix[0, 0] = 1.0
+    assert basis.paths == (1, 2)
+    assert basis.captured_norm == 1.0 and isinstance(basis.captured_norm, float)
 
 
 @pytest.mark.parametrize(
@@ -452,8 +437,8 @@ def _assert_same_projection(folded, reference):
 
 def _assert_delay_folds(state, k_bins, delay):
     delayed = apply_path1_delay(state, delay)
-    folded = discretize(state, k_bins, delay=delay)
-    _assert_same_projection(folded, discretize(delayed, k_bins))
+    folded = support.as_dict_basis(discretize(state, k_bins, delay=delay))
+    _assert_same_projection(folded, support.as_dict_basis(discretize(delayed, k_bins)))
     _assert_same_projection(folded, support.direct_discretize(delayed, k_bins))
 
 
