@@ -28,7 +28,6 @@ from .core import (
     JointAmplitude,
     TwoPhotonState,
     inner_product,
-    is_normalized,
     norm_squared,
     normalize,
     require_normalized,
@@ -53,7 +52,6 @@ from .oracle import (
 from .sources import (
     FilterParams,
     SpdcParams,
-    apply_filters,
     build_antisymmetric,
     build_bell_psi_minus,
     build_two_color,
@@ -87,7 +85,6 @@ __all__ = [
     "SymmetryReport",
     "TwoPhotonState",
     "apply_bs_exact",
-    "apply_filters",
     "apply_path1_delay",
     "as_residual",
     "bell_residual",
@@ -109,7 +106,6 @@ __all__ = [
     "fringe_visibility_45",
     "gaussian_line",
     "inner_product",
-    "is_normalized",
     "norm_squared",
     "normalize",
     "outcome_probabilities",

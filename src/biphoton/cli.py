@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,6 +28,8 @@ from .core import FrequencyGrid, InvariantError, TwoPhotonState, wavelength_to_a
 from .correlation import DEFAULT_CHSH_ANGLES, chsh
 from .oracle import apply_bs_exact, discretize, outcome_probabilities, reconstruct
 from .sources import (
+    FILTER_SHAPES,
+    TWO_COLOR_CASES,
     FilterParams,
     SpdcParams,
     build_bell_psi_minus,
@@ -58,8 +61,10 @@ class _Key:
     converts it to SI, its constraint, and its default (None: required).
 
     Constraints: None (any finite number), "positive", "fraction" (a
-    number in [0, 1]), "count" (an integer of at least 2), "angles" (a
-    list of 4 numbers), or a tuple of the allowed strings.
+    number in [0, 1]), "count" (an integer from 2 to numpy's largest
+    index), "angles" (a list of 4 numbers), a tuple of the allowed
+    strings, or the key table of an optional nested block: its field is
+    the dict _read_block reads from the block, or None when it is absent.
     """
 
     field: str
@@ -70,11 +75,13 @@ class _Key:
 
 def _read_value(block: dict, path: str, key: str, spec: _Key):
     where = f"{path}.{key}"
-    value = block.get(key, spec.default)
     if key not in block:
-        if value is None:
+        if spec.default is None and not isinstance(spec.check, dict):
             raise ConfigError(f"missing key {where}")
-        return value
+        return spec.default
+    value = block[key]
+    if isinstance(spec.check, dict):
+        return _read_block(value, where, spec.check)
     if isinstance(spec.check, tuple):
         if value not in spec.check:
             allowed = " or ".join(repr(choice) for choice in spec.check)
@@ -88,7 +95,7 @@ def _read_value(block: dict, path: str, key: str, spec: _Key):
         ):
             raise ConfigError(f"{where} must be a list of 4 numbers")
         for a in value:
-            if not math.isfinite(a):
+            if not abs(a) <= sys.float_info.max:  # NaN, inf, or an integer beyond float range
                 raise ConfigError(f"{where} must be finite, got {a!r}")
         return tuple(float(a) for a in value)
     if spec.check == "count":
@@ -96,12 +103,14 @@ def _read_value(block: dict, path: str, key: str, spec: _Key):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
         if value < 2:
             raise ConfigError(f"{where} must be at least 2, got {value}")
+        if value > np.iinfo(np.intp).max:
+            raise ConfigError(f"{where} must be at most {np.iinfo(np.intp).max}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an integer beyond float range
         raise ConfigError(f"{where} must be finite, got {value!r}")
+    value = float(value)
     if spec.check == "positive" and value <= 0.0:
         raise ConfigError(f"{where} must be positive, got {value!r}")
     if spec.check == "fraction":
@@ -143,7 +152,7 @@ _ANALYSIS = {
     "mode_overlap_epsilon": _Key("mode_overlap_epsilon", check="fraction", default=1.0),
 }
 _FILTER = {
-    "shape": _Key("shape", check=("gaussian", "tophat"), default="gaussian"),
+    "shape": _Key("shape", check=tuple(FILTER_SHAPES), default="gaussian"),
     "center_wavelength_nm": _Key("center_wavelength", _NM, "positive"),
     "fwhm_nm": _Key("fwhm", _NM, "positive"),
 }
@@ -153,28 +162,61 @@ _SPDC = {
     "sigma_h_rad_per_s": _Key("sigma_h", check="positive"),
     "sigma_v_rad_per_s": _Key("sigma_v", check="positive"),
     "walkoff_fs": _Key("t_v", _FS),
+    "filter": _Key("filter", check=_FILTER),
 }
-#: Source type -> its key table.  The types whose table holds the _SPDC keys
-#: build SpdcParams and also take a ``filter`` block read through _FILTER.
+_TYPE2 = {
+    **_SPDC,
+    "phase_rad": _Key("phi"),
+    "extra_group_delay_arm2_fs": _Key("extra_group_delay_arm2", _FS),
+}
+_BELL = {
+    "center_offset1_rad_per_s": _Key("center_offset1"),
+    "sigma1_rad_per_s": _Key("sigma1", check="positive"),
+    "center_offset2_rad_per_s": _Key("center_offset2"),
+    "sigma2_rad_per_s": _Key("sigma2", check="positive"),
+}
+_TWO_COLOR = {
+    "case": _Key("case", check=TWO_COLOR_CASES),
+    "red_offset_rad_per_s": _Key("red_offset"),
+    "blue_offset_rad_per_s": _Key("blue_offset"),
+    "bandwidth_rad_per_s": _Key("bandwidth", check="positive"),
+}
+
+
+@dataclass(frozen=True)
+class _Source:
+    """A source type: the key table of its block, and ``build(fields, grid)``."""
+
+    table: dict
+    build: Callable[[dict, FrequencyGrid], TwoPhotonState]
+
+
+# The build steps call the library builders by this module's names, which
+# benchmark/tracing.py rebinds, so a _Source must not hold a builder itself.
+def _build_type2(fields: dict, grid: FrequencyGrid, antisymmetric: bool = False):
+    params = {name: value for name, value in fields.items() if name != "filter"}
+    filt = None if fields["filter"] is None else FilterParams(**fields["filter"])
+    return build_type2_ultrafast(SpdcParams(**params), grid, filt, antisymmetric=antisymmetric)
+
+
+def _build_bell(fields: dict, grid: FrequencyGrid):
+    center = 0.5 * (grid.omega_min + grid.omega_max)
+    g1 = gaussian_line(grid, center + fields["center_offset1"], fields["sigma1"])
+    g2 = gaussian_line(grid, center + fields["center_offset2"], fields["sigma2"])
+    return build_bell_psi_minus(g1, g2, grid)
+
+
+def _build_two_color(fields: dict, grid: FrequencyGrid):
+    center = 0.5 * (grid.omega_min + grid.omega_max)
+    red, blue = center + fields["red_offset"], center + fields["blue_offset"]
+    return build_two_color(fields["case"], red, blue, fields["bandwidth"], grid)
+
+
 _SOURCES = {
-    "type2_ultrafast": {
-        **_SPDC,
-        "phase_rad": _Key("phi"),
-        "extra_group_delay_arm2_fs": _Key("extra_group_delay_arm2", _FS),
-    },
-    "antisymmetric": _SPDC,
-    "bell_psi_minus": {
-        "center_offset1_rad_per_s": _Key("center_offset1"),
-        "sigma1_rad_per_s": _Key("sigma1", check="positive"),
-        "center_offset2_rad_per_s": _Key("center_offset2"),
-        "sigma2_rad_per_s": _Key("sigma2", check="positive"),
-    },
-    "two_color": {
-        "case": _Key("case", check=("i", "ii")),
-        "red_offset_rad_per_s": _Key("red_offset"),
-        "blue_offset_rad_per_s": _Key("blue_offset"),
-        "bandwidth_rad_per_s": _Key("bandwidth", check="positive"),
-    },
+    "type2_ultrafast": _Source(_TYPE2, _build_type2),
+    "antisymmetric": _Source(_SPDC, functools.partial(_build_type2, antisymmetric=True)),
+    "bell_psi_minus": _Source(_BELL, _build_bell),
+    "two_color": _Source(_TWO_COLOR, _build_two_color),
 }
 
 
@@ -197,7 +239,8 @@ class AnalysisSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated configuration with all quantities converted to SI."""
+    """A configuration whose keys are validated and converted to SI.  The
+    source's own constraints are checked by its builder, in build_state."""
 
     source: dict
     grid_center: float
@@ -212,8 +255,7 @@ class ExperimentConfig:
         )
 
     def build_state(self, n_points: int | None = None) -> TwoPhotonState:
-        grid = self.frequency_grid(n_points)
-        return _build_source(self.source, grid)
+        return _build_source(self.source, self.frequency_grid(n_points))
 
 
 def _parse_source(block) -> dict:
@@ -222,34 +264,12 @@ def _parse_source(block) -> dict:
     stype = block.get("type")
     if not isinstance(stype, str) or stype not in _SOURCES:
         raise ConfigError(f"source.type must be one of {sorted(_SOURCES)}, got {stype!r}")
-    table = _SOURCES[stype]
-    if not _SPDC.keys() <= table.keys():
-        return {"type": stype, **_read_block(block, "source", table, extra=("type",))}
-    params = SpdcParams(**_read_block(block, "source", table, extra=("type", "filter")))
-    filt = None
-    if "filter" in block:
-        filt = FilterParams(**_read_block(block["filter"], "source.filter", _FILTER))
-    return {"type": stype, "params": params, "filter": filt}
+    return {"type": stype, **_read_block(block, "source", _SOURCES[stype].table, extra=("type",))}
 
 
 def _build_source(source: dict, grid: FrequencyGrid) -> TwoPhotonState:
-    stype = source["type"]
-    center = 0.5 * (grid.omega_min + grid.omega_max)
-    if stype == "bell_psi_minus":
-        g1 = gaussian_line(grid, center + source["center_offset1"], source["sigma1"])
-        g2 = gaussian_line(grid, center + source["center_offset2"], source["sigma2"])
-        return build_bell_psi_minus(g1, g2, grid)
-    if stype == "two_color":
-        return build_two_color(
-            source["case"],
-            center + source["red_offset"],
-            center + source["blue_offset"],
-            source["bandwidth"],
-            grid,
-        )
-    return build_type2_ultrafast(
-        source["params"], grid, source["filter"], antisymmetric=stype == "antisymmetric"
-    )
+    fields = dict(source)
+    return _SOURCES[fields.pop("type")].build(fields, grid)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -212,10 +212,6 @@ def normalize(state: TwoPhotonState) -> TwoPhotonState:
     )
 
 
-def is_normalized(state: TwoPhotonState) -> bool:
-    return abs(state.norm_squared() - 1.0) <= NORMALIZATION_TOL
-
-
 def require_normalized(state: TwoPhotonState) -> None:
     _require_unit_norm(state.norm_squared())
 

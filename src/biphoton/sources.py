@@ -30,8 +30,6 @@ from .core import (
 #: envelope peak.  Larger values mean the grid truncates the state.
 EDGE_FRACTION_TOL = 1e-3
 
-_TWO_COLOR_CASES = ("i", "ii")
-
 
 @dataclass(frozen=True)
 class SpdcParams:
@@ -97,6 +95,14 @@ class SpdcParams:
         return math.sqrt(2.0 * math.log(2.0)) / self.pump_duration_fwhm
 
 
+#: Filter shape -> amplitude transmission at offsets x from the filter center
+#: for an intensity FWHM ``width`` (the Gaussian is the root of a Gaussian intensity).
+FILTER_SHAPES = {
+    "gaussian": lambda x, width: np.exp(-2.0 * math.log(2.0) * (x / width) ** 2),
+    "tophat": lambda x, width: (np.abs(x) <= 0.5 * width).astype(np.float64),
+}
+
+
 @dataclass(frozen=True)
 class FilterParams:
     """Spectral filter placed in front of each detector.
@@ -121,7 +127,7 @@ class FilterParams:
                 f"filter fwhm {self.fwhm!r} m must be below its center wavelength "
                 f"{self.center_wavelength!r} m: a linear width conversion is meaningless there"
             )
-        if self.shape not in ("gaussian", "tophat"):
+        if self.shape not in FILTER_SHAPES:
             raise ValueError(f"unknown filter shape {self.shape!r}")
 
     @property
@@ -154,10 +160,11 @@ def gaussian_line(grid: FrequencyGrid, center: float, sigma: float) -> np.ndarra
     """
     if not math.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not (sigma > 0.0 and 0.0 < 4.0 * sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be finite and positive, as must 4 sigma^2, got {sigma}")
     x = grid.points() - center
-    g = np.exp(-(x * x) / (4.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # where x^2 overflows, the line is exp(-inf) = 0
+        g = np.exp(-(x * x) / (4.0 * sigma * sigma))
     total = float(np.sum(grid.trapezoid_weights() * g * g))
     if total <= 0.0:
         raise ValueError("envelope vanishes on the grid; center is off-grid")
@@ -182,8 +189,9 @@ def _type2_factors(params: SpdcParams, grid: FrequencyGrid):
     depends only on w_H + w_V, so its 2N - 1 values fill |F| as a Hankel view."""
     x = grid.points() - params.photon_center_frequency
     sums = np.concatenate((x[0] + x, x[-1] + x[1:]))
-    g_h, g_v = (np.exp(-(x * x) / (4.0 * s**2)) for s in (params.sigma_h, params.sigma_v))
-    pump = np.exp(-(sums * sums) / (4.0 * params.pump_sigma**2))
+    with np.errstate(over="ignore"):  # where a square overflows, the factor is exp(-inf) = 0
+        g_h, g_v = (np.exp(-(x * x) / (4.0 * s**2)) for s in (params.sigma_h, params.sigma_v))
+        pump = np.exp(-(sums * sums) / (4.0 * params.pump_sigma**2))
     magnitude = np.outer(g_h, g_v)
     magnitude *= sliding_window_view(pump, grid.n_points)
     return g_h, g_v, pump, magnitude
@@ -222,7 +230,7 @@ def build_type2_ultrafast(
     rides in path 2 -- omega_V in the first term, omega_H in the second --
     by exp(i omega delay), breaking the exchange antisymmetry that an
     identical-arms minus configuration (phi = pi) satisfies exactly.
-    ``filt`` filters both photons as ``apply_filters`` does.  With
+    ``filt`` filters both photons alike, which keeps both symmetries.  With
     ``antisymmetric`` the state is ``build_antisymmetric`` of F instead
     (f_v1h2 = -f_h1v2 exactly; phi and the arm-2 delay are not used).
     """
@@ -234,7 +242,12 @@ def build_type2_ultrafast(
         # sum_ij w_i w_j tau_i tau_j |F[i, j]|^2, a convolution against pump^2
         return float((pump * pump) @ np.convolve(w * tau * g_h**2, w * tau * g_v**2))
 
-    t, total = _filter_transmission(filt, grid, norm_with) if filt else (1.0, norm_with(1.0))
+    t = 1.0 if filt is None else _filter_transmission(filt, grid)
+    total = norm_with(t * t)
+    if filt is not None and total <= 1e-12 * norm_with(1.0):
+        raise ValueError(
+            f"filter support lies outside the grid: it keeps norm^2 {total!r} of {norm_with(1.0)!r}"
+        )
     row = (t / math.sqrt(total)) * grid.phase(params.t_h, "t_h")
     col = t * grid.phase(params.t_v, "t_v")
     delay2 = params.extra_group_delay_arm2
@@ -296,6 +309,9 @@ def build_bell_psi_minus(
     return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, -np.outer(g2, g1)))
 
 
+TWO_COLOR_CASES = ("i", "ii")
+
+
 def build_two_color(
     case: str, red_center: float, blue_center: float, bandwidth: float, grid: FrequencyGrid
 ) -> TwoPhotonState:
@@ -308,8 +324,8 @@ def build_two_color(
     peak is lost.  The colors must be separated by more than ten
     bandwidths to count as fully distinguishable.
     """
-    if case not in _TWO_COLOR_CASES:
-        raise ValueError(f"case must be one of {_TWO_COLOR_CASES}, got {case!r}")
+    if case not in TWO_COLOR_CASES:
+        raise ValueError(f"case must be one of {TWO_COLOR_CASES}, got {case!r}")
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     if abs(red_center - blue_center) <= 10.0 * bandwidth:
@@ -326,44 +342,13 @@ def build_two_color(
     return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
 
 
-def _filter_transmission(filt: FilterParams, grid: FrequencyGrid, norm_with):
-    """Transmission t of ``filt`` on the grid and the norm^2 it keeps, where
-    ``norm_with(tau)`` is the norm^2 with each axis's intensity weighted by tau."""
+def _filter_transmission(filt: FilterParams, grid: FrequencyGrid) -> np.ndarray:
+    """Amplitude transmission of ``filt`` on the grid."""
     center = filt.center_frequency
     if not grid.omega_min <= center <= grid.omega_max:
         raise ValueError(
             f"filter center {center!r} rad/s lies outside the grid's frequency span "
             f"[{grid.omega_min!r}, {grid.omega_max!r}] rad/s"
         )
-    x = grid.points() - center
-    width = filt.fwhm_frequency
-    if filt.shape == "gaussian":
-        # Amplitude transmission = sqrt of a Gaussian intensity profile.
-        t = np.exp(-2.0 * math.log(2.0) * (x / width) ** 2)
-    else:
-        t = (np.abs(x) <= 0.5 * width).astype(np.float64)
-    kept, total = norm_with(t * t), norm_with(1.0)
-    if kept <= 1e-12 * total:
-        raise ValueError(
-            "filter support lies outside the grid: transmitted norm^2 "
-            f"fraction is {kept / total if total else 0.0!r}"
-        )
-    return t, kept
-
-
-def apply_filters(state: TwoPhotonState, filt: FilterParams) -> TwoPhotonState:
-    """Apply an identical spectral filter to both photons and renormalize.
-
-    The amplitude transmission multiplies each frequency argument of both
-    amplitudes, so both exchange and path-label symmetries are preserved.
-    A filter centered outside the grid's frequency span, or one whose
-    passband transmits nothing the grid holds, is rejected.
-    """
-    grid, f1, f2 = state.grid, state.f_h1v2.values, state.f_v1h2.values
-    intensity = 0.5 * (np.abs(f1) ** 2 + np.abs(f2) ** 2)
-    w = grid.trapezoid_weights()
-    t, kept = _filter_transmission(
-        filt, grid, lambda tau: float((w * tau) @ intensity @ (w * tau))
-    )
-    t2d = np.outer(t, t) / math.sqrt(kept)  # symmetric bit for bit
-    return TwoPhotonState(JointAmplitude(grid, f1 * t2d), JointAmplitude(grid, f2 * t2d))
+    with np.errstate(over="ignore"):  # far outside a passband, the transmission is exp(-inf) = 0
+        return FILTER_SHAPES[filt.shape](grid.points() - center, filt.fwhm_frequency)

@@ -14,7 +14,9 @@ the analyzer-2 fringe to those rates by least squares.  ``direct_reductions``,
 weights w_i w_j, the reference for the library's blocked passes over
 separable weights and its one-overlap Feynman split; ``direct_type2_state``
 builds the type-II state from its N^2 formula, the reference for the
-library's factored build.  ``direct_discretize``,
+library's factored build, and ``apply_filters`` filters a built state
+afterwards, the reference for the filter that build folds in.
+``direct_discretize``,
 ``direct_apply_bs_exact``, ``direct_outcome_probabilities`` and
 ``direct_reconstruct`` are the discrete-mode oracle written as per-pair
 dict loops over mode pairs, the reference for the library's dense pair
@@ -165,11 +167,7 @@ def direct_type2_state(
         f1 = envelope * arm2[None, :]
         f2 = np.exp(-1j * params.phi) * envelope * arm2[:, None]
     if filt is not None:
-        x = w - filt.center_frequency
-        if filt.shape == "gaussian":
-            t = np.exp(-2.0 * math.log(2.0) * (x / filt.fwhm_frequency) ** 2)
-        else:
-            t = (np.abs(x) <= 0.5 * filt.fwhm_frequency).astype(np.float64)
+        t = _transmission(filt, w)
         t2d = t[:, None] * t[None, :]
         f1, f2 = f1 * t2d, f2 * t2d
     weights = grid.trapezoid_weights()
@@ -178,6 +176,28 @@ def direct_type2_state(
     scale = 1.0 / math.sqrt(total)
     return TwoPhotonState(
         JointAmplitude(grid, f1 * scale), JointAmplitude(grid, f2 * scale)
+    )
+
+
+def _transmission(filt, w: np.ndarray) -> np.ndarray:
+    """Amplitude transmission of the filter ``filt`` at the frequencies ``w``."""
+    x = w - filt.center_frequency
+    if filt.shape == "gaussian":
+        return np.exp(-2.0 * math.log(2.0) * (x / filt.fwhm_frequency) ** 2)
+    return (np.abs(x) <= 0.5 * filt.fwhm_frequency).astype(np.float64)
+
+
+def apply_filters(state: TwoPhotonState, filt) -> TwoPhotonState:
+    """``state`` with the filter ``filt`` in front of both photons: t (x) t on
+    both amplitudes, then renormalized."""
+    grid = state.grid
+    t = _transmission(filt, grid.points())
+    t2d = t[:, None] * t[None, :]
+    return normalize(
+        TwoPhotonState(
+            JointAmplitude(grid, state.f_h1v2.values * t2d),
+            JointAmplitude(grid, state.f_v1h2.values * t2d),
+        )
     )
 
 

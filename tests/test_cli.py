@@ -115,11 +115,11 @@ def test_load_config_resolves_names_and_paths(tmp_path):
 
 def test_parse_config_converts_units():
     config = parse_config(_valid_config())
-    params = config.source["params"]
-    assert params.t_v == pytest.approx(400e-15, rel=1e-12)
-    assert params.pump_duration_fwhm == pytest.approx(120e-15, rel=1e-12)
-    assert params.pump_center_wavelength == pytest.approx(390e-9, rel=1e-12)
-    assert config.source["filter"].fwhm == pytest.approx(20e-9, rel=1e-12)
+    source = config.source
+    assert source["t_v"] == pytest.approx(400e-15, rel=1e-12)
+    assert source["pump_duration_fwhm"] == pytest.approx(120e-15, rel=1e-12)
+    assert source["pump_center_wavelength"] == pytest.approx(390e-9, rel=1e-12)
+    assert source["filter"]["fwhm"] == pytest.approx(20e-9, rel=1e-12)
     assert config.grid_center == pytest.approx(
         2.0 * math.pi * 299_792_458.0 / 780e-9, rel=1e-12
     )
@@ -182,6 +182,15 @@ def test_parse_config_defaults_for_optional_analysis_block():
             "classification_threshold must be positive",
         ),
         (lambda r: r["source"].update(walkoff_fs="fast"), "must be a number"),
+        # integers beyond float range
+        (lambda r: r["source"].update(walkoff_fs=10**400), "source.walkoff_fs must be finite"),
+        (
+            lambda r: r["analysis"].update(chsh_angles_rad=[0.0, -(10**400), 0.0, 0.0]),
+            "analysis.chsh_angles_rad must be finite, got -1000",
+        ),
+        # counts numpy cannot index
+        (lambda r: r["scan"].update(n_delays=2**63), "scan.n_delays must be at most"),
+        (lambda r: r["grid"].update(n_points=10**400), "grid.n_points must be at most"),
         # json.loads accepts NaN and Infinity
         (lambda r: r["source"].update(walkoff_fs=math.nan), "walkoff_fs must be finite"),
         (
@@ -215,7 +224,7 @@ def test_parse_config_rejects_bad_input(mutate, message):
 def test_parse_config_defaults_a_missing_filter_shape():
     raw = _valid_config()
     del raw["source"]["filter"]["shape"]
-    assert parse_config(raw).source["filter"].shape == "gaussian"
+    assert parse_config(raw).source["filter"]["shape"] == "gaussian"
 
 
 def test_scan_writes_csv_and_report(tmp_path, capsys):
@@ -602,7 +611,7 @@ def test_readme_config_schema_lists_every_key_with_its_constraint():
     import biphoton.cli as cli_module
 
     tables = [cli_module._GRID, cli_module._SCAN, cli_module._ANALYSIS, cli_module._FILTER]
-    tables += list(cli_module._SOURCES.values())
+    tables += [record.table for record in cli_module._SOURCES.values()]
     words = {
         None: "finite",
         "positive": "positive",
@@ -615,6 +624,9 @@ def test_readme_config_schema_lists_every_key_with_its_constraint():
         for key, spec in table.items():
             if isinstance(spec.check, tuple):
                 expected = " or ".join(f'`"{choice}"`' for choice in spec.check)
+            elif isinstance(spec.check, dict):
+                # a nested block: its own keys are listed from its own table
+                expected = "see below"
             else:
                 expected = words[spec.check]
             constraints = [row[row.index(f"`{key}`") + 2] for row in rows if f"`{key}`" in row]
@@ -774,3 +786,87 @@ def test_scan_with_an_astronomical_delay_is_a_config_error(
     code, captured = _scan_exit(tmp_path, capsys, _write_config(tmp_path, raw))
     assert code == EXIT_CONFIG
     assert "alias delay" in captured.err, captured.err
+
+
+#: Values each config key takes, one at a time, in the exit-code contract:
+#: non-finite numbers, extreme numbers, and values of the wrong type.
+_HOSTILE_VALUES = [
+    math.nan, math.inf, -math.inf,
+    10**400, 2**63, 1e300, -1e300, 1e-300, 0, -1,
+    None, "text", [1.0, 2.0], True,
+]
+#: Count keys take only values numpy refuses before it allocates anything.
+_HOSTILE_COUNTS = [2**63, 2**64, 10**400]
+
+
+def _key_paths(block: dict, table: dict, path: tuple = ()):
+    """(path, spec) of every key ``table`` reads from ``block``, nested blocks
+    included where ``block`` holds them."""
+    for key, spec in table.items():
+        yield path + (key,), spec
+        if isinstance(spec.check, dict) and isinstance(block.get(key), dict):
+            yield from _key_paths(block[key], spec.check, path + (key,))
+
+
+def _contract_cases(raw: dict):
+    """(key path, value) pairs: each key of ``raw`` set to each hostile value."""
+    import biphoton.cli as cli_module
+
+    tables = {
+        "grid": cli_module._GRID,
+        "scan": cli_module._SCAN,
+        "analysis": cli_module._ANALYSIS,
+        "source": cli_module._SOURCES[raw["source"]["type"]].table,
+    }
+    for name, table in tables.items():
+        for path, spec in _key_paths(raw.get(name, {}), table, (name,)):
+            for value in _HOSTILE_COUNTS if spec.check == "count" else _HOSTILE_VALUES:
+                yield path, value
+
+
+def _contract_base(name: str) -> dict:
+    if name == "antisymmetric":
+        return _config_with_source("antisymmetric")  # no preset has this type
+    preset = resources.files("biphoton").joinpath("presets", f"{name}.json")
+    return json.loads(preset.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("base", sorted(PRESET_NAMES) + ["antisymmetric"])
+def test_every_hostile_config_value_exits_0_2_or_3(tmp_path, capsys, base):
+    """The exit-code contract over every key of the key tables: 0 with no
+    NaN or inf printed, 2 with one ``config error:`` line and nothing on
+    stdout, or 3."""
+    failures = []
+    raw = _contract_base(base)
+    config_path = tmp_path / "config.json"
+    for path, value in _contract_cases(raw):
+        case = json.loads(json.dumps(raw))
+        block = case
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+        block[path[-1]] = value
+        config_path.write_text(json.dumps(case), encoding="utf-8")
+        for command in (
+            ["scan", "--out", str(tmp_path / "curve.csv")],
+            ["classify"],
+            ["chsh"],
+            ["oracle-check"],
+        ):
+            label = f"{'.'.join(path)}={str(value)[:12]} {command[0]}"
+            try:
+                code = main([*command, "--config", str(config_path), "--grid-points", "64"])
+            except Exception as exc:  # an escape is exit 1 with a traceback
+                capsys.readouterr()
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                continue
+            out, err = capsys.readouterr()
+            if code == EXIT_CONFIG:
+                lines = err.splitlines()
+                if len(lines) != 1 or not lines[0].startswith("config error:") or out:
+                    failures.append(f"{label}: exit 2 with stdout {out!r}, stderr {err!r}")
+            elif code == EXIT_OK:
+                if re.search(r"\b(nan|inf)\b", out, re.IGNORECASE):
+                    failures.append(f"{label}: exit 0 printed {out!r}")
+            elif code != EXIT_INVARIANT:
+                failures.append(f"{label}: exit {code}")
+    assert not failures, "\n".join(failures)

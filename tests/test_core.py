@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import support
 from biphoton import (
     FrequencyGrid,
+    InvariantError,
     JointAmplitude,
     TwoPhotonState,
     as_residual,
@@ -19,7 +20,6 @@ from biphoton import (
     coherence_time,
     coincidence_probability,
     inner_product,
-    is_normalized,
     norm_squared,
     normalize,
     require_normalized,
@@ -227,16 +227,14 @@ def test_normalize_behavior():
     f2 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     state = TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
     unit = normalize(state)
-    assert is_normalized(unit)
-    assert unit.norm_squared() == pytest.approx(1.0, abs=1e-12)
     require_normalized(unit)
+    assert unit.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
     doubled = TwoPhotonState(
         JointAmplitude(grid, 2.0 * unit.f_h1v2.values),
         JointAmplitude(grid, 2.0 * unit.f_v1h2.values),
     )
-    assert not is_normalized(doubled)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError, match="not normalized"):
         require_normalized(doubled)
     renorm = normalize(doubled)
     np.testing.assert_allclose(renorm.f_h1v2.values, unit.f_h1v2.values, rtol=1e-12)

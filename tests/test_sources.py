@@ -11,7 +11,6 @@ from biphoton import (
     FrequencyGrid,
     JointAmplitude,
     SpdcParams,
-    apply_filters,
     as_residual,
     bell_residual,
     build_antisymmetric,
@@ -21,7 +20,7 @@ from biphoton import (
     coherence_time,
     default_grid,
     gaussian_line,
-    is_normalized,
+    require_normalized,
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
@@ -132,7 +131,7 @@ def test_build_type2_symmetric_limit_equals_exchange_antisymmetric():
 def test_build_type2_default_is_exchange_antisymmetric_but_far_from_bell():
     p = SpdcParams()
     state = build_type2_ultrafast(p, default_grid(p))
-    assert is_normalized(state)
+    require_normalized(state)
     # identical propagation in both terms: exchange antisymmetry survives
     # any walk-off, so the coincidence peak is perfect
     assert as_residual(state) < 1e-6
@@ -176,7 +175,7 @@ def test_build_antisymmetric_is_bitwise_antisymmetric():
     p = SpdcParams(t_v=0.0)
     grid = default_grid(p)
     state = build_antisymmetric(type2_joint_envelope(p, grid))
-    assert is_normalized(state)
+    require_normalized(state)
     np.testing.assert_array_equal(state.f_v1h2.values, -state.f_h1v2.values)
     zero = JointAmplitude(grid, np.zeros((grid.n_points, grid.n_points)))
     with pytest.raises(ValueError):
@@ -193,7 +192,7 @@ def test_build_bell_psi_minus_structure():
     g1 = gaussian_line(grid, CENTER + 2e13, 2.5e13)
     g2 = gaussian_line(grid, CENTER - 2e13, 2.5e13)
     state = build_bell_psi_minus(g1, g2, grid)
-    assert is_normalized(state)
+    require_normalized(state)
     # singlet condition under spectral exchange, exact by construction
     np.testing.assert_array_equal(state.f_v1h2.values, -state.f_h1v2.values.T)
     assert bell_residual(state) < 1e-12
@@ -274,13 +273,13 @@ def test_coherence_time_of_two_color_pairs():
     )
 
 
-def test_apply_filters_gaussian_narrows_the_difference_spread():
+def test_gaussian_filter_narrows_the_difference_spread():
     p = SpdcParams()
     grid = default_grid(p)
     state = build_type2_ultrafast(p, grid)
     filt = FilterParams(center_wavelength=780e-9, fwhm=20e-9, shape="gaussian")
-    filtered = apply_filters(state, filt)
-    assert is_normalized(filtered)
+    filtered = build_type2_ultrafast(p, grid, filt)
+    require_normalized(filtered)
     # frozen oracle: closed-form Gaussian moments before and after the filter
     tc_before = support.type2_coherence_time(p.sigma_h, p.sigma_v, p.pump_sigma)
     tc_after = support.type2_coherence_time(
@@ -293,23 +292,22 @@ def test_apply_filters_gaussian_narrows_the_difference_spread():
     assert as_residual(filtered) < 1e-12
 
 
-def test_apply_filters_tophat_wider_than_grid_is_identity():
+def test_tophat_filter_wider_than_grid_is_identity():
     p = SpdcParams()
     grid = default_grid(p)
     state = build_type2_ultrafast(p, grid)
     wide = FilterParams(center_wavelength=780e-9, fwhm=400e-9, shape="tophat")
-    same = apply_filters(state, wide)
+    same = build_type2_ultrafast(p, grid, wide)
     np.testing.assert_allclose(same.f_h1v2.values, state.f_h1v2.values, rtol=1e-12)
     np.testing.assert_allclose(same.f_v1h2.values, state.f_v1h2.values, rtol=1e-12)
 
 
-def test_apply_filters_rejects_filter_outside_grid():
+def test_filter_outside_grid_is_rejected():
     p = SpdcParams()
     grid = default_grid(p)
-    state = build_type2_ultrafast(p, grid)
     outside = FilterParams(center_wavelength=500e-9, fwhm=0.05e-9, shape="tophat")
     with pytest.raises(ValueError, match="filter"):
-        apply_filters(state, outside)
+        build_type2_ultrafast(p, grid, outside)
 
 
 def test_spdc_params_reject_widths_whose_square_is_not_finite():
@@ -346,13 +344,12 @@ def test_filter_params_reject_a_fwhm_not_below_the_center():
     assert FilterParams(center_wavelength=780e-9, fwhm=779e-9).fwhm == 779e-9
 
 
-def test_apply_filters_rejects_a_center_outside_the_grid_span():
+def test_filter_with_a_center_outside_the_grid_span_is_rejected():
     # the passband reaches the grid, but its center lies far below it
     p = SpdcParams(t_v=0.0)
-    state = build_type2_ultrafast(p, default_grid(p))
     broad = FilterParams(center_wavelength=1500e-9, fwhm=1000e-9, shape="gaussian")
     with pytest.raises(ValueError, match="filter center"):
-        apply_filters(state, broad)
+        build_type2_ultrafast(p, default_grid(p), broad)
 
 
 def _peak_relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
@@ -376,12 +373,12 @@ def test_factored_type2_build_matches_the_direct_formula(phi, delay, filter_name
     filt = _FILTERS[filter_name]
     built = build_type2_ultrafast(p, grid, filt)
     direct = support.direct_type2_state(p, grid, filt)
-    assert is_normalized(built)
+    require_normalized(built)
     for ours, reference in ((built.f_h1v2, direct.f_h1v2), (built.f_v1h2, direct.f_v1h2)):
         assert _peak_relative_error(ours.values, reference.values) <= 1e-12
     if filt is not None:
         # the folded filter equals filtering the unfiltered build afterwards
-        refiltered = apply_filters(build_type2_ultrafast(p, grid), filt)
+        refiltered = support.apply_filters(build_type2_ultrafast(p, grid), filt)
         assert _peak_relative_error(built.f_v1h2.values, refiltered.f_v1h2.values) <= 1e-12
 
 
@@ -393,13 +390,13 @@ def test_factored_antisymmetric_build_matches_the_direct_formula(filter_name, n_
     filt = _FILTERS[filter_name]
     built = build_type2_ultrafast(p, grid, filt, antisymmetric=True)
     direct = support.direct_type2_state(p, grid, filt, antisymmetric=True)
-    assert is_normalized(built)
+    require_normalized(built)
     assert _peak_relative_error(built.f_h1v2.values, direct.f_h1v2.values) <= 1e-12
     np.testing.assert_array_equal(built.f_v1h2.values, -built.f_h1v2.values)
     # the library's own two-step route builds the same state
     two_step = build_antisymmetric(type2_joint_envelope(p, grid))
     if filt is not None:
-        two_step = apply_filters(two_step, filt)
+        two_step = support.apply_filters(two_step, filt)
     assert _peak_relative_error(built.f_h1v2.values, two_step.f_h1v2.values) <= 1e-12
 
 
@@ -441,5 +438,3 @@ def test_factored_build_keeps_its_rejections(antisymmetric):
     between_points = FilterParams(center_wavelength=780e-9, fwhm=1e-13, shape="tophat")
     with pytest.raises(ValueError, match="filter support lies outside the grid"):
         build_type2_ultrafast(p, grid, between_points, antisymmetric=antisymmetric)
-    with pytest.raises(ValueError, match="filter support lies outside the grid"):
-        apply_filters(build_type2_ultrafast(p, grid), between_points)
