@@ -23,8 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamsplitter import coherence_time, coincidence_probability, delay_scan
-from .core import FrequencyGrid, InvariantError, TwoPhotonState, wavelength_to_angular_frequency
+from .beamsplitter import coherence_time, delay_scan
+from .core import (
+    FrequencyGrid,
+    InvariantError,
+    TwoPhotonState,
+    inner_product,
+    norm_squared,
+    wavelength_to_angular_frequency,
+)
 from .correlation import DEFAULT_CHSH_ANGLES, chsh
 from .oracle import apply_bs_exact, discretize, outcome_probabilities, reconstruct
 from .sources import (
@@ -315,23 +322,31 @@ def list_presets() -> list[tuple[str, str]]:
 
 def load_config(name_or_path: str) -> ExperimentConfig:
     """Load a configuration from a file path or a bundled preset name."""
-    path = Path(name_or_path)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-    else:
-        candidate = _preset_root().joinpath(
+    source = Path(name_or_path)
+    if not source.is_file():
+        source = _preset_root().joinpath(
             name_or_path if name_or_path.endswith(".json") else name_or_path + ".json"
         )
-        if not candidate.is_file():
+        if not source.is_file():
             known = ", ".join(name for name, _ in list_presets())
             raise ConfigError(
                 f"no such config file or preset: {name_or_path!r} (presets: {known})"
             )
-        text = candidate.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(source.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {name_or_path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{name_or_path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
+    except RecursionError:
+        raise ConfigError(f"invalid JSON in {name_or_path!r}: nested too deeply") from None
+    except ValueError as exc:
+        # int() refuses an integer literal past its digit limit (4300 by default)
+        raise ConfigError(
+            f"invalid JSON in {name_or_path!r}: an integer has too many digits"
+        ) from exc
     return parse_config(raw)
 
 
@@ -424,14 +439,23 @@ def run_chsh(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _coincidence_at_zero_delay(state: TwoPhotonState) -> float:
+    """P_cc(0) = (n1 + n2)/4 - (1/2) Re <F1, F2>: three quadratures."""
+    f1, f2 = state.f_h1v2, state.f_v1h2
+    return 0.25 * (norm_squared(f1) + norm_squared(f2)) - 0.5 * inner_product(f1, f2).real
+
+
 def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
     """Compare quadrature and discrete-mode coincidence probabilities.
 
-    The configured state is projected onto ``--bins`` flat frequency bins.
-    The discrete route sends the projection through the exact mode
-    unitary; the quadrature route evaluates the same projected state
-    (embedded back on the grid) with the analytic formula.  Checked at
-    zero delay and at two delays of order the coherence time.  The
+    The configured state is projected onto ``--bins`` flat frequency bins,
+    path 1 retarded by each checked delay: zero and two delays of order
+    the coherence time, which takes the command's one ``StateSpectra``
+    pass.  The discrete route sends each projection through the exact
+    mode unitary; the quadrature route embeds it back on the grid and
+    evaluates P_cc(0) = (n1 + n2)/4 - (1/2) Re <F1, F2> from three
+    quadratures.  Each delay costs O(N^2) and builds no N x N temporary
+    beyond the embedded state, which is freed before the next delay.  The
     smallest captured norm of the three projections is printed, so a
     check that only saw a small fraction of the state shows as such.
     """
@@ -452,7 +476,7 @@ def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
             max_unitarity_defect, abs(transformed.total_probability() - 1.0)
         )
         p_oracle = outcome_probabilities(transformed)["coincidence"]
-        p_analytic = coincidence_probability(reconstruct(basis, grid), 0.0)
+        p_analytic = _coincidence_at_zero_delay(reconstruct(basis, grid))
         deviation = abs(p_oracle - p_analytic) / max(abs(p_oracle), abs(p_analytic), 1e-6)
         max_deviation = max(max_deviation, deviation)
     print(f"k_bins = {k_bins}")

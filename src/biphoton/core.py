@@ -24,12 +24,13 @@ read
 where ``swap`` transposes the two frequency arguments.
 
 All integrals are 2D trapezoidal quadratures on the shared grid with the
-separable weight w_i w_j: ``norm_squared`` and ``inner_product`` sum
-w^T X w, and ``reductions`` (polarization, symmetry) and ``spectra``
-(coincidence rates, coherence time) each walk the state once in row blocks
-scaled by sqrt(w_i w_j), so no N x N weight array is built.  The state
-normalization convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the
-1/2 carrying the global prefactor of the two-term superposition.
+separable weight w_i w_j, and every pass walks the state in row blocks,
+so it builds no N x N temporary: ``norm_squared`` and ``inner_product`` sum
+w^T X w block by block, and ``reductions`` (polarization, symmetry) and
+``spectra`` (coincidence rates, coherence time) each walk the state once
+in blocks scaled by sqrt(w_i w_j).  The state normalization convention
+is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the 1/2 carrying the global
+prefactor of the two-term superposition.
 """
 
 from __future__ import annotations
@@ -148,21 +149,43 @@ class JointAmplitude:
         return JointAmplitude(self.grid, self.values.T.copy())
 
 
+#: Complex entries per row block: a block's temporaries stay in L2, and a
+#: BLAS dot product over one stays below OpenBLAS's 10000-entry threading
+#: cutoff, so no sum depends on the BLAS thread count.
+_BLOCK_ENTRIES = 8192
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an N x N array, each block at most _BLOCK_ENTRIES entries."""
+    height = max(1, _BLOCK_ENTRIES // n)
+    return [slice(start, start + height) for start in range(0, n, height)]
+
+
 def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
-    """Trapezoidal quadrature of <a, b> = integral of conj(a) b dw dw', as
-    w^T (conj(a) b) w with the 1D trapezoid weights w of the shared grid.
-    Amplitudes on different grids are rejected.
+    """Trapezoidal quadrature of <a, b> = integral of conj(a) b dw dw',
+    summed as w^T (conj(a) b) w over row blocks, with the 1D trapezoid
+    weights w of the shared grid.  Amplitudes on different grids are rejected.
     """
     if a.grid != b.grid:
         raise ValueError("amplitudes live on different grids")
     w = a.grid.trapezoid_weights()
-    return complex(w @ (np.conj(a.values) * b.values) @ w)
+    total = 0j
+    for rows in _row_blocks(w.size):
+        total += w[rows] @ (np.conj(a.values[rows]) * b.values[rows]) @ w
+    return complex(total)
 
 
 def norm_squared(a: JointAmplitude) -> float:
-    """Trapezoidal quadrature of ||a||^2 = integral of |a|^2, as w^T |a|^2 w."""
+    """Trapezoidal quadrature of ||a||^2 = integral of |a|^2, summed as
+    w^T |a|^2 w over row blocks.  The squares are formed before the weights,
+    so an entry whose square underflows adds exactly 0."""
     w = a.grid.trapezoid_weights()
-    return float(w @ (np.abs(a.values) ** 2) @ w)
+    # real and imaginary parts side by side, each column's weight twice
+    parts, w_parts = a.values.view(np.float64), np.repeat(w, 2)
+    total = 0.0
+    for rows in _row_blocks(w.size):
+        total += w[rows] @ np.square(parts[rows]) @ w_parts
+    return float(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,20 +250,12 @@ def _require_unit_norm(total: float) -> None:
         )
 
 
-#: Complex entries per row block: a block's temporaries stay in L2, and a
-#: BLAS dot product over one stays below OpenBLAS's 10000-entry threading
-#: cutoff, so no sum depends on the BLAS thread count.
-_BLOCK_ENTRIES = 8192
-
-
 def _weighted_blocks(state: TwoPhotonState):
     """Yield (rows, weight, weight * F1[rows], weight * F2[rows]), fresh, per row
     block, with weight = s_i s_j, s = sqrt(trapezoid weights), symmetric bit for bit."""
     s = np.sqrt(state.grid.trapezoid_weights())
     f1, f2 = state.f_h1v2.values, state.f_v1h2.values
-    height = max(1, _BLOCK_ENTRIES // s.size)
-    for start in range(0, s.size, height):
-        rows = slice(start, start + height)
+    for rows in _row_blocks(s.size):
         weight = s[rows, None] * s[None, :]
         yield rows, weight, weight * f1[rows], weight * f2[rows]
 

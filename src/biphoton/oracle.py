@@ -11,10 +11,10 @@ so the physical amplitude of the pair {u, v} is 2 T[u, v] for u != v and
 sqrt(2) T[u, u] for a doubly occupied mode, and the total probability is
 2 ||T||_F^2.  The beamsplitter acts only on the path label, so it mixes
 the 2K x 2K path blocks of T with a 2 x 2 unitary and never forms the
-(4K)^2 mode unitary.  Per delay the bin projection (two BLAS products
-per amplitude, the delay a phase on the K x N bin weights, no N x N
-temporary) costs O(K N^2) on an N-point grid, the gather back on the grid
-O(N^2), the transform and the outcome sums O(K^2).
+(4K)^2 mode unitary.  On an N-point grid the bin projection costs one
+pass of block sums over each amplitude, O(N^2) per delay with no N x N
+temporary (the delay a phase on K x N partial sums), the gather back on
+the grid O(N^2), the transform and the outcome sums O(K^2).
 
 Everything here is written against that finite Fock space from scratch:
 bin aggregation and probability bookkeeping share no code with the
@@ -77,9 +77,10 @@ def _squared_norm(a: np.ndarray) -> float:
     return float(sum(np.vdot(p, p).real for p in np.split(flat, range(8192, flat.size, 8192))))
 
 
-def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """Bin of each grid point (contiguous blocks, the first n % K one point
-    longer), trapezoid weights w and sqrt(W_k), W_k the weight of bin k.
+    longer), trapezoid weights w, sqrt(W_k) with W_k the weight of bin k,
+    and the runs of equal-width bins as (bin slice, point slice, width).
 
     The weights are written out on purpose; see the module docstring.
     """
@@ -90,8 +91,26 @@ def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = np.full(n, step)
     w[0] = w[-1] = 0.5 * step
     size, extra = divmod(n, k_bins)
+    split = extra * (size + 1)
+    runs = [(slice(extra, k_bins), slice(split, n), size)]
+    if extra:
+        runs.insert(0, (slice(0, extra), slice(0, split), size + 1))
     bins = np.repeat(np.arange(k_bins), np.where(np.arange(k_bins) < extra, size + 1, size))
-    return bins, w, np.sqrt(np.bincount(bins, weights=w))
+    return bins, w, np.sqrt(np.bincount(bins, weights=w)), runs
+
+
+def _bin_sums(x: np.ndarray, weights: np.ndarray, runs: list) -> np.ndarray:
+    """out[k] = sum over the points i of bin k of weights[i] x[i]: the first
+    axis of x, one point per grid point, contracted bin by bin with one
+    batched product per run of equal-width bins."""
+    out = np.empty((runs[-1][0].stop, x.shape[1]), dtype=np.complex128)
+    for bins, points, width in runs:
+        np.matmul(
+            weights[points].reshape(-1, 1, width),
+            x[points].reshape(-1, width, x.shape[1]),
+            out=out[bins, None],
+        )
+    return out
 
 
 def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> DiscreteModeBasis:
@@ -101,11 +120,13 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
     constant over the block, so the projection coefficient of F onto the
     (k, m) bin pair is
 
-        c[k, m] = sum_{i in k, j in m} w_i w_j F[i, j] / sqrt(W_k W_m)
+        c[k, m] = sum_{i in k, j in m} v_i v_j F[i, j],   v_i = w_i / sqrt(W_k)
 
-    with w the quadrature weights and W_k their per-bin totals.  The
-    path-1 phase e^{i w delay} (rows of f_h1v2, columns of f_v1h2) rides
-    on the K x N weights: two BLAS products per amplitude, no N x N array.
+    with w the quadrature weights and W_k their per-bin totals.  The sums
+    over the path-2 photon's bins (F1's columns, F2's rows) do not depend
+    on the delay and cost one pass over each amplitude; the path-1 phase
+    e^{i w delay} (rows of f_h1v2, columns of f_v1h2) then rides on those
+    K x N sums, whose own bin sums give c.
     The captured norm sum |c|^2 can only fall short of the continuum norm
     (within-bin structure is lost, a deficit of order 1/K^2 for smooth
     states); it reaches it exactly when K equals the grid size.
@@ -114,15 +135,18 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
         raise ValueError(f"k_bins must be an integer, got {k_bins!r}")
     if k_bins < 2:
         raise ValueError(f"k_bins must be at least 2, got {k_bins}")
-    bins, w, root_w = _flat_bins(state.grid, k_bins)
-    aggregate = np.zeros((k_bins, bins.size))
-    aggregate[bins, np.arange(bins.size)] = w / root_w[bins]
-    delayed = aggregate * state.grid.phase(delay, "delay")
-    # Real BLAS products on float64 views (F1's weights stack their two parts).
-    both = np.concatenate((delayed.real, delayed.imag)) @ state.f_h1v2.values.view(np.float64)
-    both = both.view(np.complex128)
-    c1 = (both[:k_bins] + 1j * both[k_bins:]) @ aggregate.T
-    c2 = (aggregate @ state.f_v1h2.values.view(np.float64)).view(np.complex128) @ delayed.T
+    bins, w, root_w, runs = _flat_bins(state.grid, k_bins)
+    v = w / root_w[bins]
+    phase = state.grid.phase(delay, "delay")
+    # Sums over the path-2 photon's bin: s1[m, i] of F1[i, bin m], s2[k, j]
+    # of F2[bin k, j]; the path-1 photon's grid index is the last one of both.
+    s1 = _bin_sums(state.f_h1v2.values.T, v, runs)
+    s2 = _bin_sums(state.f_v1h2.values, v, runs)
+    s1 *= phase
+    s2 *= phase
+    # Rows the path-1 photon's bin: c1 is F1's c, c2 the transpose of F2's.
+    c1 = _bin_sums(s1.T, v, runs)
+    c2 = _bin_sums(s2.T, v, runs)
     # Physical pair amplitudes carry the state's overall 1/sqrt(2).
     captured = 0.5 * (_squared_norm(c1) + _squared_norm(c2))
     # Rounding leaves |c|^2 ~ (N eps)^2 norm, and norm <= max(w)^2 (sum|F1|^2 + sum|F2|^2) / 2
@@ -130,10 +154,9 @@ def discretize(state: TwoPhotonState, k_bins: int, *, delay: float = 0.0) -> Dis
     if captured <= 0.5 * (n1 + n2) * (bins.size * np.finfo(np.float64).eps * w.max()) ** 2:
         raise ValueError("state projects to zero on the requested bins")
     scale = 1.0 / (2.0 * _ROOT_TWO * math.sqrt(captured))
-    # In f_v1h2 the first index (bin k) is the path-2 H photon's.
     t = np.zeros((4, k_bins, 4, k_bins), dtype=np.complex128)
     t[_H1, :, _V2, :] = scale * c1
-    t[_V1, :, _H2, :] = scale * c2.T
+    t[_V1, :, _H2, :] = scale * c2
     t[_V2, :, _H1, :] = t[_H1, :, _V2, :].T
     t[_H2, :, _V1, :] = t[_V1, :, _H2, :].T
     return DiscreteModeBasis(k_bins, (1, 2), t.reshape(4 * k_bins, 4 * k_bins), captured)
@@ -154,7 +177,7 @@ def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
     if basis.paths != (1, 2):
         raise ValueError(f"only input bases on paths (1, 2) embed, got {basis.paths}")
     k_bins = basis.k_bins
-    bins, _, root_w = _flat_bins(grid, k_bins)
+    bins, _, root_w, _ = _flat_bins(grid, k_bins)
     sectors = basis.pair_matrix.reshape(4, k_bins, 4, k_bins)
     other = np.ones((4, 4), dtype=bool)
     other[_H1, _V2] = other[_V2, _H1] = other[_V1, _H2] = other[_H2, _V1] = False

@@ -113,6 +113,35 @@ def test_load_config_resolves_names_and_paths(tmp_path):
         load_config(str(bad))
 
 
+def _preset_bytes(name: str) -> bytes:
+    return resources.files("biphoton").joinpath("presets", f"{name}.json").read_bytes()
+
+
+def _walkoff_of_5001_digits() -> bytes:
+    raw = json.loads(_preset_bytes("uncompensated_peak"))
+    raw["source"]["walkoff_fs"] = "WALKOFF"
+    return json.dumps(raw).replace('"WALKOFF"', "1" + "0" * 5000).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(lambda: b"[" * 200_000, id="nesting-past-the-recursion-limit"),
+        pytest.param(_walkoff_of_5001_digits, id="integer-past-the-digit-limit"),
+        pytest.param(lambda: b"\xff" + _preset_bytes("bell_ideal"), id="not-utf-8"),
+    ],
+)
+def test_a_config_that_does_not_decode_is_a_config_error_naming_the_file(tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content())
+    done = _cli_run(["classify", "--config", str(path)], "1", tmp_path)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stdout == b""
+    err = done.stderr.decode()
+    assert err.startswith("config error: ") and str(path) in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_parse_config_converts_units():
     config = parse_config(_valid_config())
     source = config.source
@@ -298,13 +327,19 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert content == two[name], name
 
 
-def _cli_stdout(argv, threads: str, cwd: Path) -> bytes:
-    """stdout of ``python -m biphoton.cli *argv`` in a fresh process."""
+def _cli_run(argv, threads: str, cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m biphoton.cli *argv`` in a fresh process."""
     src = str(Path(biphoton.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, timeout=300, check=True)
+    return subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=300)
+
+
+def _cli_stdout(argv, threads: str, cwd: Path) -> bytes:
+    """stdout of ``python -m biphoton.cli *argv`` in a fresh process."""
+    done = _cli_run(argv, threads, cwd)
+    done.check_returncode()
     return done.stdout
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,13 +25,15 @@ from biphoton import (
     coincidence_probability,
     default_grid,
     discretize,
+    inner_product,
+    norm_squared,
     normalize,
     outcome_probabilities,
     reconstruct,
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
-from biphoton.cli import load_config
+from biphoton.cli import _coincidence_at_zero_delay, load_config
 from support import Mode
 
 CENTER = wavelength_to_angular_frequency(780e-9)
@@ -500,3 +503,39 @@ def test_reconstruct_gathers_owned_contiguous_amplitudes(preset, n_points, k_bin
         assert values.base is None
         scale = float(np.max(np.abs(reference)))
         assert float(np.max(np.abs(values - reference))) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("n_points", [64, 256])
+@pytest.mark.parametrize("k_bins", [8, 32])
+def test_three_quadrature_coincidence_matches_the_spectra_route(preset, n_points, k_bins):
+    # oracle-check takes P_cc(0) of each embedded projection from three
+    # quadratures; the scan route's coincidence_probability must agree.
+    state = _preset_state(preset, n_points)
+    tau_c = coherence_time(state)
+    for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c):
+        embedded = reconstruct(discretize(state, k_bins, delay=delay), state.grid)
+        quadratures = _coincidence_at_zero_delay(embedded)
+        assert abs(quadratures - coincidence_probability(embedded, 0.0)) <= 1e-14, delay
+
+
+@pytest.mark.parametrize("name", ["discretize", "norm_squared", "inner_product"])
+def test_oracle_passes_allocate_under_a_quarter_of_an_amplitude(name):
+    # each oracle-check delay runs these passes; an N x N temporary would
+    # show in the benchmark's peak RSS
+    n_points = 512
+    state = _preset_state("uncompensated_peak", n_points)
+    delay = 2.0 * coherence_time(state)
+    f1, f2 = state.f_h1v2, state.f_v1h2
+    call = {
+        "discretize": lambda: discretize(state, 32, delay=delay),
+        "norm_squared": lambda: norm_squared(f1),
+        "inner_product": lambda: inner_product(f1, f2),
+    }[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n_points**2 / 4
