@@ -6,7 +6,8 @@ analysis); every physical quantity carries its unit as a key suffix
 Bundled configurations ship with the package and are addressed by name.
 All outputs are deterministic: identical configuration, identical bytes.
 
-Exit codes: 0 success, 2 configuration error, 3 invariant failure.
+Exit codes: 0 success, 1 stdout closed before the output was written (as
+Python itself exits on EPIPE), 2 configuration error, 3 invariant failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -47,6 +49,7 @@ from .sources import (
 from .symmetry import DEFAULT_CLASSIFICATION_THRESHOLD, classify
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
@@ -536,18 +539,26 @@ def main(argv=None) -> int:
         if args.command == "presets":
             for name, description in list_presets():
                 print(f"{name}: {description}" if description else name)
-            return EXIT_OK
-        config = load_config(args.config)
-        if args.grid_points is not None and args.grid_points < 2:
-            raise ConfigError(f"--grid-points must be at least 2, got {args.grid_points}")
-        # Looked up per call: benchmark/tracing.py rebinds the run_* names.
-        runner = {
-            "scan": run_scan,
-            "classify": run_classify,
-            "chsh": run_chsh,
-            "oracle-check": run_oracle_check,
-        }[args.command]
-        return runner(config, args)
+            code = EXIT_OK
+        else:
+            config = load_config(args.config)
+            if args.grid_points is not None and args.grid_points < 2:
+                raise ConfigError(f"--grid-points must be at least 2, got {args.grid_points}")
+            # Looked up per call: benchmark/tracing.py rebinds the run_* names.
+            runner = {
+                "scan": run_scan,
+                "classify": run_classify,
+                "chsh": run_chsh,
+                "oracle-check": run_oracle_check,
+            }[args.command]
+            code = runner(config, args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python's documented EPIPE recipe: what is still buffered goes to
+        # devnull, so the exit flush cannot fail again; no config error line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

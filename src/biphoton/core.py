@@ -24,21 +24,28 @@ read
 where ``swap`` transposes the two frequency arguments.
 
 All integrals are 2D trapezoidal quadratures on the shared grid with the
-separable weight w_i w_j, and every pass walks the state in row blocks,
-so it builds no N x N temporary: ``norm_squared`` and ``inner_product`` sum
-w^T X w block by block, and ``reductions`` (polarization, symmetry) and
-``spectra`` (coincidence rates, coherence time) each walk the state once
-in blocks scaled by sqrt(w_i w_j).  The state normalization convention
+separable weight w_i w_j.  The builders return amplitudes that carry their
+1D factors (``Factors``), and ``reductions`` (polarization, symmetry) of
+such a state is a few 1D convolutions that make no N^2 pass.  Every other
+pass walks the N x N values in row blocks, so it builds no N x N
+temporary: ``norm_squared`` and ``inner_product`` sum w^T X w block by
+block, and ``spectra`` (coincidence rates, coherence time), like
+``reductions`` of a state without factors (a reconstructed oracle state,
+an antisymmetrized envelope, arrays), walks the state once in blocks
+scaled by sqrt(w_i w_j).  The state normalization convention
 is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the 1/2 carrying the global
 prefactor of the two-term superposition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
@@ -113,40 +120,92 @@ class FrequencyGrid:
         return w
 
 
+class Factors(NamedTuple):
+    """1D factors of an amplitude F[i, j] = x[i] y[j] m[i, j].
+
+    The real magnitude m is ``magnitude`` = (g, h, p) with
+    m[i, j] = g[i] h[j] p[i + j], p holding 2N - 1 samples (a Hankel
+    matrix on the grid), or None for m = 1.  The two terms of a state share
+    one magnitude object; ``reductions`` checks that by identity.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    magnitude: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class JointAmplitude:
     """Complex amplitude F(omega, omega') sampled on a square grid.
 
-    Values are immutable after construction.  The squared norm (2D
-    trapezoid of |F|^2) must be finite.
+    Built either from dense ``values`` or from 1D ``factors``; values are
+    immutable after construction, and their squared norm (2D trapezoid of
+    |F|^2) must be finite.
 
-    The constructor takes ownership of a C-contiguous complex128 array
-    that owns its data: it stores that array without copying and marks it
-    read-only, so the caller's array is frozen too (views the caller took
-    of it earlier stay writable).  Any other input (a view, a transpose,
-    another dtype) is copied first.
+    The dense constructor takes ownership of a C-contiguous complex128
+    array that owns its data: it stores that array without copying and
+    marks it read-only, so the caller's array is frozen too (views the
+    caller took of it earlier stay writable).  Any other input (a view, a
+    transpose, another dtype) is copied first.
+
+    A factored amplitude keeps its O(N) factors, which must be finite; it
+    marks them read-only without copying them, like dense values.  It
+    builds the read-only N x N ``values`` on first read, as
+    outer(x, y) * (outer(g, h) * hankel(p)).  ``reductions`` reads the
+    factors instead, so ``classify`` and ``chsh`` of a built state never
+    form an N x N array; scans, ``bs_transform`` and the oracle read
+    ``values``.
     """
 
     grid: FrequencyGrid
-    values: np.ndarray
+    dense: InitVar[np.ndarray | None] = None
+    factors: Factors | None = None
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
+    def __post_init__(self, dense) -> None:
         n = self.grid.n_points
-        if values.shape != (n, n):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid with {n} points"
-            )
-        if not values.flags.owndata or not values.flags.c_contiguous:
-            values = np.array(values, order="C")
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("amplitude values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        if (dense is None) == (self.factors is None):
+            raise ValueError("an amplitude takes either values or factors")
+        if dense is not None:
+            self.__dict__["values"] = _frozen_values(dense, n)
+            return
+        vectors = (self.factors.x, self.factors.y, *(self.factors.magnitude or ()))
+        for vector, size in zip(vectors, (n, n, n, n, 2 * n - 1)):
+            if np.shape(vector) != (size,):
+                raise ValueError(
+                    f"factor shape {np.shape(vector)} does not match grid with {n} points"
+                )
+            if not np.all(np.isfinite(vector)):
+                raise ValueError("amplitude factors must be finite")
+            if isinstance(vector, np.ndarray):
+                vector.setflags(write=False)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        x, y, magnitude = self.factors
+        values = np.outer(x, y)
+        if magnitude is not None:
+            g, h, p = magnitude
+            dense_magnitude = np.outer(g, h)
+            dense_magnitude *= sliding_window_view(p, self.grid.n_points)
+            values *= dense_magnitude
+        return _frozen_values(values, self.grid.n_points)
 
     def swap(self) -> "JointAmplitude":
         """Exchange the two frequency arguments: swap(F)(w, w') = F(w', w)."""
         return JointAmplitude(self.grid, self.values.T.copy())
+
+
+def _frozen_values(values, n: int) -> np.ndarray:
+    """``values`` as an owned, C-contiguous, finite, read-only N x N complex128 array."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape != (n, n):
+        raise ValueError(f"values shape {values.shape} does not match grid with {n} points")
+    if not values.flags.owndata or not values.flags.c_contiguous:
+        values = np.array(values, order="C")
+    if not np.all(np.isfinite(values.view(np.float64))):
+        raise ValueError("amplitude values must be finite")
+    values.setflags(write=False)
+    return values
 
 
 #: Complex entries per row block: a block's temporaries stay in L2, and a
@@ -159,6 +218,30 @@ def _row_blocks(n: int) -> list[slice]:
     """Row slices of an N x N array, each block at most _BLOCK_ENTRIES entries."""
     height = max(1, _BLOCK_ENTRIES // n)
     return [slice(start, start + height) for start in range(0, n, height)]
+
+
+def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | complex:
+    """sum_ij u_i v_j weights[i + j] = sum_k weights[k] (u * v)[k], one 1D
+    convolution of the length-N vectors u and v, and a sum over 2N - 1 entries.
+
+    Up to _BLOCK_ENTRIES the convolution is direct, and past it by FFT, in
+    O(N log N); the final sum goes in pieces of _BLOCK_ENTRIES.  So no BLAS
+    dot product crosses OpenBLAS's threading cutoff, at any N.
+    """
+    if u.size <= _BLOCK_ENTRIES:
+        convolution = np.convolve(u, v)
+    else:
+        size = u.size + v.size - 1
+        length = 1 << (size - 1).bit_length()
+        real = not (np.iscomplexobj(u) or np.iscomplexobj(v))
+        fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        spectrum = fft(u, length)
+        spectrum *= fft(v, length)
+        convolution = ifft(spectrum, length)[:size]
+    starts = range(0, convolution.size, _BLOCK_ENTRIES)
+    return sum(
+        weights[k : k + _BLOCK_ENTRIES] @ convolution[k : k + _BLOCK_ENTRIES] for k in starts
+    )
 
 
 def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
@@ -244,7 +327,7 @@ class InvariantError(ValueError):
 
 
 def _require_unit_norm(total: float) -> None:
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails this too
         raise InvariantError(
             f"state is not normalized: (1/2)(||f1||^2 + ||f2||^2) = {total!r}"
         )
@@ -290,8 +373,13 @@ class StateReductions:
 
 
 def reductions(state: TwoPhotonState) -> StateReductions:
-    """``StateReductions``, each one dot product of scaled blocks per block.
-    Scaling keeps exact negation exact, so plus norms stay exactly 0."""
+    """``StateReductions`` of the state's factors when both amplitudes have
+    them over one shared magnitude, each one 1D convolution; otherwise one
+    dot product of scaled blocks per block.  Scaling keeps exact negation
+    exact, so plus norms stay exactly 0."""
+    f1, f2 = state.f_h1v2.factors, state.f_v1h2.factors
+    if f1 is not None and f2 is not None and f1.magnitude is f2.magnitude:
+        return _factored_reductions(state.grid, f1, f2)
     sums = np.zeros(6, dtype=np.complex128)
     for rows, weight, a, b in _weighted_blocks(state):
         # swap F2 scaled in F2's row order, then transposed in cache (no strided read)
@@ -302,6 +390,45 @@ def reductions(state: TwoPhotonState) -> StateReductions:
         sums[4:] += [np.vdot(b, b), np.vdot(b_path, b_path)]
     n1, n2, overlap, path_overlap, plus, path_plus = (complex(x) for x in sums)
     return StateReductions(n1.real, n2.real, overlap, path_overlap, plus.real, path_plus.real)
+
+
+def _factored_reductions(grid: FrequencyGrid, f1: Factors, f2: Factors) -> StateReductions:
+    """With A = (xa (x) ya) m and B = (xb (x) yb) m, m[i, j] = g_i h_j p_{i+j},
+    <A, B> = sum_k p_k^2 (u * v)_k with u = w g^2 conj(xa) xb and
+    v = w h^2 conj(ya) yb.  swap F2 = (y2 (x) x2) swap(m), and swap(m) carries
+    g_j h_i, so <F1, swap F2> weighs both vectors by w g h."""
+    n = grid.n_points
+    g, h, p = f1.magnitude or (np.ones(n), np.ones(n), np.ones(2 * n - 1))
+    w = grid.trapezoid_weights()
+    p2, row_weight, col_weight, mixed_weight = p * p, w * g * g, w * h * h, w * g * h
+
+    def inner(xa, ya, xb, yb, u=row_weight, v=col_weight) -> complex:
+        return complex(hankel_sum(p2, u * np.conj(xa) * xb, v * np.conj(ya) * yb))
+
+    n1 = inner(f1.x, f1.y, f1.x, f1.y).real
+    n2 = inner(f2.x, f2.y, f2.x, f2.y).real
+    overlap = inner(f1.x, f1.y, f2.x, f2.y)
+    path_overlap = inner(f1.x, f1.y, f2.y, f2.x, mixed_weight, mixed_weight)
+
+    def plus_norm(xb, yb, cross: complex, same_magnitude: bool) -> float:
+        # ||F1 + B||^2 of B = (xb (x) yb) m; where F1 and B share a factor bit
+        # for bit, from the combined other one, so exact negation gives 0
+        if same_magnitude and np.array_equal(f1.x, xb):
+            total = f1.y + yb
+            return inner(f1.x, total, f1.x, total).real
+        if same_magnitude and np.array_equal(f1.y, yb):
+            total = f1.x + xb
+            return inner(total, f1.y, total, f1.y).real
+        return n1 + n2 + 2.0 * cross.real
+
+    return StateReductions(
+        n1,
+        n2,
+        overlap,
+        path_overlap,
+        plus_norm(f2.x, f2.y, overlap, True),
+        plus_norm(f2.y, f2.x, path_overlap, np.array_equal(g, h)),
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,14 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     DEFAULT_GRID_POINTS,
     SPEED_OF_LIGHT,
+    Factors,
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
+    hankel_sum,
     norm_squared,
     wavelength_to_angular_frequency,
 )
@@ -171,12 +172,10 @@ def gaussian_line(grid: FrequencyGrid, center: float, sigma: float) -> np.ndarra
     return g / math.sqrt(total)
 
 
-def _check_grid_wide_enough(mags: np.ndarray, what: str) -> None:
-    # Compare the boundary magnitude |F| against the interior peak.
-    peak = float(mags.max())
+def _check_grid_wide_enough(peak: float, edge: float, what: str) -> None:
+    # Compare the largest boundary magnitude |F| against the peak |F|.
     if peak == 0.0:
         raise ValueError(f"{what} vanishes everywhere on the grid")
-    edge = float(max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max()))
     if edge > EDGE_FRACTION_TOL * peak:
         raise ValueError(
             f"grid too narrow for {what}: boundary amplitude is {edge / peak:.3e} "
@@ -184,17 +183,46 @@ def _check_grid_wide_enough(mags: np.ndarray, what: str) -> None:
         )
 
 
+def _extremes(mags: np.ndarray) -> tuple[float, float]:
+    """Peak and largest boundary value of a dense N x N magnitude."""
+    edge = max(mags[0].max(), mags[-1].max(), mags[:, 0].max(), mags[:, -1].max())
+    return float(mags.max()), float(edge)
+
+
+def _outer_extremes(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """``_extremes`` of |a_i b_j| from the two vectors alone."""
+    a, b = np.abs(a), np.abs(b)
+    edge = max(max(a[0], a[-1]) * b.max(), a.max() * max(b[0], b[-1]))
+    return float(a.max() * b.max()), float(edge)
+
+
 def _type2_factors(params: SpdcParams, grid: FrequencyGrid):
-    """|F|[i, j] = g_h[i] g_v[j] pump[i + j] of the type-II envelope: the pump
-    depends only on w_H + w_V, so its 2N - 1 values fill |F| as a Hankel view."""
+    """|F|[i, j] = g_h[i] g_v[j] pump[i + j] of the type-II envelope, with its
+    ``_extremes``: the pump depends only on w_H + w_V, so its 2N - 1 values
+    fill |F| as a Hankel matrix.
+
+    Along row i, |F| is a Gaussian in w_V peaked at
+    x_V = -x_H sigma_v^2 / (sigma_v^2 + sigma_p^2), so the row's largest
+    sample is at one of the two grid points around that; the peak takes
+    O(N) products, each rounded as in the dense |F|.
+    """
+    n = grid.n_points
     x = grid.points() - params.photon_center_frequency
     sums = np.concatenate((x[0] + x, x[-1] + x[1:]))
     with np.errstate(over="ignore"):  # where a square overflows, the factor is exp(-inf) = 0
         g_h, g_v = (np.exp(-(x * x) / (4.0 * s**2)) for s in (params.sigma_h, params.sigma_v))
         pump = np.exp(-(sums * sums) / (4.0 * params.pump_sigma**2))
-    magnitude = np.outer(g_h, g_v)
-    magnitude *= sliding_window_view(pump, grid.n_points)
-    return g_h, g_v, pump, magnitude
+    pull = params.sigma_v**2 / (params.sigma_v**2 + params.pump_sigma**2)
+    below = np.floor((-pull * x - x[0]) / grid.step)
+    cols = np.clip(np.stack((below, below + 1.0)), 0, n - 1).astype(np.intp)
+    peak = (g_h * g_v[cols] * pump[np.arange(n) + cols]).max()
+    edge = max(
+        (g_h[0] * g_v * pump[:n]).max(),
+        (g_h[-1] * g_v * pump[n - 1 :]).max(),
+        (g_h * g_v[0] * pump[:n]).max(),
+        (g_h * g_v[-1] * pump[n - 1 :]).max(),
+    )
+    return (g_h, g_v, pump), (float(peak), float(edge))
 
 
 def type2_joint_envelope(params: SpdcParams, grid: FrequencyGrid) -> JointAmplitude:
@@ -206,9 +234,8 @@ def type2_joint_envelope(params: SpdcParams, grid: FrequencyGrid) -> JointAmplit
     with G Gaussian photon envelopes around the degenerate frequency and P
     the Gaussian pump envelope around the pump frequency.  Not normalized.
     """
-    values = np.outer(grid.phase(params.t_h, "t_h"), grid.phase(params.t_v, "t_v"))
-    values *= _type2_factors(params, grid)[3]
-    return JointAmplitude(grid, values)
+    phases = grid.phase(params.t_h, "t_h"), grid.phase(params.t_v, "t_v")
+    return JointAmplitude(grid, factors=Factors(*phases, _type2_factors(params, grid)[0]))
 
 
 def build_type2_ultrafast(
@@ -234,13 +261,14 @@ def build_type2_ultrafast(
     ``antisymmetric`` the state is ``build_antisymmetric`` of F instead
     (f_v1h2 = -f_h1v2 exactly; phi and the arm-2 delay are not used).
     """
-    g_h, g_v, pump, magnitude = _type2_factors(params, grid)
-    _check_grid_wide_enough(magnitude, "the joint spectral envelope")
+    magnitude, extremes = _type2_factors(params, grid)
+    _check_grid_wide_enough(*extremes, "the joint spectral envelope")
+    g_h, g_v, pump = magnitude
     w = grid.trapezoid_weights()
 
     def norm_with(tau) -> float:
         # sum_ij w_i w_j tau_i tau_j |F[i, j]|^2, a convolution against pump^2
-        return float((pump * pump) @ np.convolve(w * tau * g_h**2, w * tau * g_v**2))
+        return float(hankel_sum(pump * pump, w * tau * g_h**2, w * tau * g_v**2))
 
     t = 1.0 if filt is None else _filter_transmission(filt, grid)
     total = norm_with(t * t)
@@ -252,14 +280,12 @@ def build_type2_ultrafast(
     col = t * grid.phase(params.t_v, "t_v")
     delay2 = params.extra_group_delay_arm2
     arm2 = 1.0 if antisymmetric else grid.phase(delay2, "extra_group_delay_arm2")
-    f1 = np.outer(row, col * arm2)
-    f1 *= magnitude
+    f1 = Factors(row, col * arm2, magnitude)
     if antisymmetric:
-        f2 = -f1
+        f2 = Factors(-row, f1.y, magnitude)
     else:
-        f2 = np.outer(np.exp(-1j * params.phi) * row * arm2, col)
-        f2 *= magnitude
-    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
+        f2 = Factors(np.exp(-1j * params.phi) * row * arm2, col, magnitude)
+    return TwoPhotonState(JointAmplitude(grid, factors=f1), JointAmplitude(grid, factors=f2))
 
 
 def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
@@ -268,7 +294,7 @@ def build_antisymmetric(envelope: JointAmplitude) -> TwoPhotonState:
     Sets f_v1h2 = -f_h1v2 by exact negation, so the coincidence peak
     condition holds identically on the grid regardless of the envelope.
     """
-    _check_grid_wide_enough(np.abs(envelope.values), "the joint spectral envelope")
+    _check_grid_wide_enough(*_extremes(np.abs(envelope.values)), "the joint spectral envelope")
     # State norm is 0.5 (|f1|^2 + |f2|^2) = |envelope|^2 here.
     total = norm_squared(envelope)
     if total <= 0.0:
@@ -292,8 +318,9 @@ def build_bell_psi_minus(
     sin^2 polarization correlations.  Envelopes must be unit-normalized
     1D amplitudes on the grid.
     """
-    g1 = np.asarray(envelope1, dtype=np.complex128)
-    g2 = np.asarray(envelope2, dtype=np.complex128)
+    # copies: the state keeps the envelopes as its factors
+    g1 = np.array(envelope1, dtype=np.complex128)
+    g2 = np.array(envelope2, dtype=np.complex128)
     if g1.shape != (grid.n_points,) or g2.shape != (grid.n_points,):
         raise ValueError("envelopes must be 1D arrays sampled on the grid")
     w = grid.trapezoid_weights()
@@ -304,9 +331,11 @@ def build_bell_psi_minus(
             raise ValueError(f"{name} is not normalized: integral |g|^2 = {norm!r}")
         total *= norm
     g1 = g1 / math.sqrt(total)
-    f1 = np.outer(g1, g2)
-    _check_grid_wide_enough(np.abs(f1), "the Bell-state envelope")
-    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, -np.outer(g2, g1)))
+    _check_grid_wide_enough(*_outer_extremes(g1, g2), "the Bell-state envelope")
+    return TwoPhotonState(
+        JointAmplitude(grid, factors=Factors(g1, g2)),
+        JointAmplitude(grid, factors=Factors(-g2, g1)),
+    )
 
 
 TWO_COLOR_CASES = ("i", "ii")
@@ -336,10 +365,11 @@ def build_two_color(
     # Unit lines: both terms have norm^2 ||red||^2 ||blue||^2 = 1.
     red = gaussian_line(grid, red_center, bandwidth)
     blue = gaussian_line(grid, blue_center, bandwidth)
-    f1 = np.outer(red, blue)
-    _check_grid_wide_enough(f1, "the two-color envelope")
-    f2 = -f1 if case == "i" else -np.outer(blue, red)
-    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
+    _check_grid_wide_enough(*_outer_extremes(red, blue), "the two-color envelope")
+    f2 = Factors(-red, blue) if case == "i" else Factors(-blue, red)
+    return TwoPhotonState(
+        JointAmplitude(grid, factors=Factors(red, blue)), JointAmplitude(grid, factors=f2)
+    )
 
 
 def _filter_transmission(filt: FilterParams, grid: FrequencyGrid) -> np.ndarray:

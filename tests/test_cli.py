@@ -22,6 +22,7 @@ from biphoton import (
     require_normalized,
 )
 from biphoton.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -295,11 +296,17 @@ def test_scan_is_deterministic(tmp_path):
     ).read_bytes()
 
 
-def _run_cli_outputs(workdir: Path, threads: str) -> dict[str, bytes]:
-    # stdout names the --out paths, so every run writes the same relative ones
+def _fresh_env(threads: str) -> dict[str, str]:
+    """This environment with the tested package on the path and BLAS on ``threads`` threads."""
     src = str(Path(biphoton.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_cli_outputs(workdir: Path, threads: str) -> dict[str, bytes]:
+    # stdout names the --out paths, so every run writes the same relative ones
+    env = _fresh_env(threads)
     workdir.mkdir()
     outputs = {}
     for command in ("classify", "chsh", "scan"):
@@ -315,8 +322,9 @@ def _run_cli_outputs(workdir: Path, threads: str) -> dict[str, bytes]:
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # N = 1024 gives 8-row blocks of 8192 entries, the largest the blocked
-    # passes use; a larger block would let OpenBLAS split its dot products
+    # N = 1024 gives the scan's pass 8-row blocks of 8192 entries, the largest
+    # the blocked passes use; a larger block would let OpenBLAS split its dot
+    # products
     one = _run_cli_outputs(tmp_path / "threads-1", "1")
     two = _run_cli_outputs(tmp_path / "threads-2", "2")
     assert sorted(one) == [
@@ -327,13 +335,74 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert content == two[name], name
 
 
-def _cli_run(argv, threads: str, cwd: Path) -> subprocess.CompletedProcess:
+@pytest.mark.parametrize("command", ["classify", "chsh"])
+def test_factored_outputs_do_not_depend_on_the_blas_thread_count_at_large_n(tmp_path, command):
+    # at N = 8192 the 2N - 1 = 16383-entry sums of the factored reductions
+    # would cross OpenBLAS's 10000-entry threading cutoff in one dot product
+    for preset in ("uncompensated_dip", "bell_ideal"):
+        argv = [command, "--config", preset, "--grid-points", "8192"]
+        assert _cli_stdout(argv, "1", tmp_path) == _cli_stdout(argv, "2", tmp_path), preset
+
+
+def test_factored_reductions_do_not_depend_on_the_blas_thread_count_at_large_n(tmp_path):
+    # the printed 12 digits hide a last-bit difference; the reductions themselves
+    # show one sum over all 16383 entries, which OpenBLAS splits across threads
+    code = (
+        "import dataclasses; from biphoton.cli import load_config; from biphoton.core import reductions\n"
+        "for preset in ('uncompensated_dip', 'bell_ideal'):\n"
+        "    print(dataclasses.astuple(reductions(load_config(preset).build_state(8192))))\n"
+    )
+    one, two = (
+        subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_fresh_env(threads),
+                       capture_output=True, timeout=300, check=True).stdout
+        for threads in ("1", "2")
+    )
+    assert one == two
+
+
+def _printed_numbers(stdout: bytes) -> dict[str, str]:
+    return dict(line.split(" = ", 1) for line in stdout.decode().splitlines())
+
+
+@pytest.mark.parametrize(
+    "command, preset",
+    [("classify", "uncompensated_peak"), ("classify", "bell_ideal"), ("chsh", "bell_ideal")],
+)
+def test_classify_and_chsh_on_a_huge_grid_end_promptly_with_the_converged_outputs(
+    tmp_path, command, preset
+):
+    # two million points: the N x N amplitudes would take 64 TB, and O(N^2)
+    # sums would take hours; the factored route sums by FFT past 8192 points
+    argv = [command, "--config", preset, "--grid-points", "2000000"]
+    huge = _cli_run(argv, "1", tmp_path, timeout=30)
+    assert huge.returncode == EXIT_OK, huge.stderr
+    reference = _printed_numbers(_cli_stdout(argv[:-1] + ["1024"], "1", tmp_path))
+    got = _printed_numbers(huge.stdout)
+    assert sorted(got) == sorted(reference)
+    for key, value in reference.items():
+        if key in ("label", "angles_rad"):
+            assert got[key] == value
+        else:
+            assert abs(float(got[key]) - float(value)) <= 1e-9, key
+
+
+@pytest.mark.parametrize(
+    "argv", [["presets"], ["classify", "--config", "bell_ideal"], ["chsh", "--config", "bell_ideal"]]
+)
+def test_a_closed_stdout_exits_1_without_a_config_error(argv):
+    process = subprocess.Popen([sys.executable, "-m", "biphoton.cli", *argv], env=_fresh_env("1"),
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    process.stdout.close()  # the reader goes away before the command prints
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert stderr == b""
+
+
+def _cli_run(argv, threads: str, cwd: Path, timeout: float = 300) -> subprocess.CompletedProcess:
     """``python -m biphoton.cli *argv`` in a fresh process."""
-    src = str(Path(biphoton.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "biphoton.cli", *argv], cwd=cwd,
+                          env=_fresh_env(threads), capture_output=True, timeout=timeout)
 
 
 def _cli_stdout(argv, threads: str, cwd: Path) -> bytes:

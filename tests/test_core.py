@@ -25,8 +25,8 @@ from biphoton import (
     require_normalized,
     wavelength_to_angular_frequency,
 )
-from biphoton.cli import list_presets, load_config
-from biphoton.core import reductions, spectra
+from biphoton.cli import list_presets, load_config, parse_config
+from biphoton.core import Factors, hankel_sum, reductions, spectra
 
 
 def _gaussian_state_pieces(sigma=3e13, n_points=256, span=8.0):
@@ -314,3 +314,200 @@ def test_blocked_quadratures_match_direct_sums_on_presets(preset, n_points):
 def test_blocked_quadratures_match_direct_sums_on_random_states(seed, n_points):
     rng = np.random.default_rng(seed)
     _assert_quadratures_match_direct(support.make_random_state(rng, n_points=n_points))
+
+
+def _type2_config(source_type: str = "type2_ultrafast", **source) -> dict:
+    """A type-II config in the benchmark's variant form; ``antisymmetric``
+    drops the keys that source type does not take."""
+    block = {
+        "type": source_type,
+        "pump_center_wavelength_nm": 390.0,
+        "pump_duration_fs": 120.0,
+        "sigma_h_rad_per_s": 6.0e13,
+        "sigma_v_rad_per_s": 3.0e13,
+        "walkoff_fs": 400.0,
+        "filter": {"center_wavelength_nm": 780.0, "fwhm_nm": 20.0, "shape": "gaussian"},
+    }
+    if source_type == "type2_ultrafast":
+        block.update(phase_rad=math.pi, extra_group_delay_arm2_fs=0.0)
+    block.update(source)
+    return {
+        "source": block,
+        "grid": {"center_wavelength_nm": 780.0, "half_width_rad_per_s": 3.6e14, "n_points": 256},
+        "scan": {"delay_min_fs": -500.0, "delay_max_fs": 500.0, "n_delays": 201},
+    }
+
+
+def _variant_configs(count: int = 10, seed: int = 1) -> list[dict]:
+    # walk-off, phase and arm-2 delay drawn over the ranges the presets use
+    rng = np.random.default_rng(seed)
+    return [
+        _type2_config(
+            walkoff_fs=float(rng.uniform(0.0, 400.0)),
+            phase_rad=float(rng.choice([0.0, math.pi])),
+            extra_group_delay_arm2_fs=float(rng.uniform(0.0, 30.0)),
+        )
+        for _ in range(count)
+    ]
+
+
+_FACTORED_CONFIGS = {
+    **{name: name for name, _ in list_presets()},
+    "antisymmetric": _type2_config("antisymmetric"),
+    **{f"variant-{i}": config for i, config in enumerate(_variant_configs())},
+}
+
+#: Configs whose amplitudes satisfy a symmetry bit for bit, and the
+#: residual that must then be exactly zero.
+_EXACT_FACTORED_RESIDUALS = {**_EXACT_RESIDUALS, "antisymmetric": as_residual}
+
+
+def _build(config, n_points: int) -> TwoPhotonState:
+    if isinstance(config, str):
+        return load_config(config).build_state(n_points)
+    return parse_config(config).build_state(n_points)
+
+
+@pytest.mark.parametrize("n_points", [64, 256, 257, 1024])
+@pytest.mark.parametrize("name", sorted(_FACTORED_CONFIGS))
+def test_factored_reductions_match_direct_sums(name, n_points):
+    state = _build(_FACTORED_CONFIGS[name], n_points)
+    f1, f2 = state.f_h1v2.factors, state.f_v1h2.factors
+    assert f1 is not None and f2 is not None and f1.magnitude is f2.magnitude
+    got = dataclasses.asdict(reductions(state))
+    for key, expected in support.direct_reductions(state).items():
+        assert abs(got[key] - expected) <= 1e-13, key
+    if name in _EXACT_FACTORED_RESIDUALS:
+        assert _EXACT_FACTORED_RESIDUALS[name](state) == 0.0
+
+
+def _densified(state: TwoPhotonState) -> TwoPhotonState:
+    return TwoPhotonState(*(JointAmplitude(state.grid, f.values) for f in (state.f_h1v2, state.f_v1h2)))
+
+
+@pytest.mark.parametrize("name", ["uncompensated_dip", "bell_ideal", "two_color_path", "antisymmetric"])
+def test_a_factored_state_and_its_dense_copy_give_the_same_reductions(name):
+    state = _build(_FACTORED_CONFIGS[name], 256)
+    dense = _densified(state)
+    assert dense.f_h1v2.factors is None and dense.f_v1h2.factors is None
+    factored, walked = dataclasses.asdict(reductions(state)), dataclasses.asdict(reductions(dense))
+    for key in factored:
+        assert abs(factored[key] - walked[key]) <= 1e-13, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=3, max_value=40),
+    shared=st.sampled_from(["none", "x", "y", "x-path", "y-path"]),
+    cancel=st.booleans(),
+    unit_magnitude=st.booleans(),
+    symmetric_magnitude=st.booleans(),
+)
+def test_factored_reductions_of_random_factors_match_direct_sums(
+    seed, n_points, shared, cancel, unit_magnitude, symmetric_magnitude
+):
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n_points)
+
+    def vector(size=n_points):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    x1, y1, x2, y2 = (vector() for _ in range(4))
+    # F2 shares a factor with F1 (or swap F2 with F1), which the plus norms
+    # combine; ``cancel`` negates the other factor, so that sum is exactly 0
+    if shared == "x":
+        x2, y2 = x1.copy(), -y1 if cancel else y2
+    elif shared == "y":
+        x2, y2 = -x1 if cancel else x2, y1.copy()
+    elif shared == "x-path":
+        x2, y2 = -y1 if cancel else x2, x1.copy()
+    elif shared == "y-path":
+        x2, y2 = y1.copy(), -x1 if cancel else y2
+    magnitude = None
+    if not unit_magnitude:
+        g = rng.uniform(0.1, 2.0, n_points)
+        h = g.copy() if symmetric_magnitude else rng.uniform(0.1, 2.0, n_points)
+        magnitude = (g, h, rng.uniform(0.1, 2.0, 2 * n_points - 1))
+    state = TwoPhotonState(
+        JointAmplitude(grid, factors=Factors(x1, y1, magnitude)),
+        JointAmplitude(grid, factors=Factors(x2, y2, magnitude)),
+    )
+    got = dataclasses.asdict(reductions(state))
+    scale = got["n1"] + got["n2"]
+    for key, expected in support.direct_reductions(state).items():
+        assert abs(got[key] - expected) <= 1e-13 * scale, key
+    walked = dataclasses.asdict(reductions(_densified(state)))
+    for key in got:
+        assert abs(got[key] - walked[key]) <= 1e-13 * scale, key
+    if cancel and shared in ("x", "y"):
+        assert got["plus_norm"] == 0.0
+    if cancel and shared in ("x-path", "y-path") and (unit_magnitude or symmetric_magnitude):
+        assert got["path_plus_norm"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["uncompensated_peak", "bell_ideal", "two_color_path"])
+def test_classify_and_chsh_of_a_built_state_allocate_under_an_eighth_of_an_amplitude(name):
+    import tracemalloc
+
+    from biphoton import chsh, classify
+
+    n_points = 1024
+    config = load_config(name)
+    for observable in (classify, chsh):
+        tracemalloc.start()
+        try:
+            observable(config.build_state(n_points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_points**2 / 8, observable.__name__
+
+
+def test_factored_values_follow_the_formula_and_are_read_only():
+    rng = np.random.default_rng(7)
+    n = 9
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n)
+    x, y = rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n) + 0j
+    g, h, p = rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, 2 * n - 1)
+    amp = JointAmplitude(grid, factors=Factors(x, y, (g, h, p)))
+    hankel = p[np.add.outer(np.arange(n), np.arange(n))]
+    np.testing.assert_array_equal(amp.values, np.outer(x, y) * (np.outer(g, h) * hankel))
+    assert amp.values is amp.values
+    with pytest.raises(ValueError):
+        amp.values[0, 0] = 1.0
+    # the factors are taken over and frozen, as dense values are
+    assert not any(vector.flags.writeable for vector in (x, y, g, h, p))
+    unit = JointAmplitude(grid, factors=Factors(x, y))
+    np.testing.assert_array_equal(unit.values, np.outer(x, y))
+
+
+def test_factored_amplitude_validation():
+    grid = FrequencyGrid.centered(2.4e15, 5e13, 4)
+    ones = np.ones(4)
+    with pytest.raises(ValueError, match="either values or factors"):
+        JointAmplitude(grid)
+    with pytest.raises(ValueError, match="either values or factors"):
+        JointAmplitude(grid, np.ones((4, 4)), factors=Factors(ones, ones))
+    with pytest.raises(ValueError, match="does not match grid with 4 points"):
+        JointAmplitude(grid, factors=Factors(np.ones(5), ones))
+    with pytest.raises(ValueError, match="does not match grid with 4 points"):
+        JointAmplitude(grid, factors=Factors(ones, ones, (ones, ones, ones)))
+    with pytest.raises(ValueError, match="factors must be finite"):
+        JointAmplitude(grid, factors=Factors(ones, np.array([1.0, np.nan, 1.0, 1.0])))
+
+
+@pytest.mark.parametrize("complex_inputs", [False, True])
+def test_hankel_sum_by_fft_past_the_block_size_matches_the_direct_sum(complex_inputs):
+    rng = np.random.default_rng(3)
+    n = 9000  # past the 8192 entries up to which the convolution is direct
+
+    def vector(size):
+        values = rng.uniform(0.0, 1.0, size)
+        return values + 1j * rng.uniform(0.0, 1.0, size) if complex_inputs else values
+
+    u, v, weights = vector(n), vector(n), rng.uniform(0.0, 1.0, 2 * n - 1)
+    expected = sum(u[i] * np.dot(v, weights[i : i + n]) for i in range(n))
+    got = hankel_sum(weights, u, v)
+    assert np.iscomplexobj(got) == complex_inputs
+    assert abs(got - expected) <= 1e-12 * abs(expected)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from biphoton import (
@@ -24,6 +26,8 @@ from biphoton import (
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
+from biphoton import sources
+from biphoton.sources import TWO_COLOR_CASES
 
 CENTER = wavelength_to_angular_frequency(780e-9)
 
@@ -203,6 +207,17 @@ def test_build_bell_psi_minus_structure():
         build_bell_psi_minus(np.full_like(g1, math.nan), g2, grid)
     with pytest.raises(ValueError):
         build_bell_psi_minus(np.outer(g1, g1), g2, grid)
+
+
+def test_build_bell_psi_minus_keeps_its_own_copy_of_the_envelopes():
+    # the state builds its values from the envelopes later, on first read
+    grid = FrequencyGrid.centered(CENTER, 1.8e14, 64)
+    g1 = gaussian_line(grid, CENTER + 2e13, 2.5e13).astype(np.complex128)
+    g2 = gaussian_line(grid, CENTER - 2e13, 2.5e13).astype(np.complex128)
+    expected = np.outer(g1, g2)
+    state = build_bell_psi_minus(g1, g2, grid)
+    g1[:], g2[:] = 0.0, 0.0
+    np.testing.assert_allclose(state.f_h1v2.values, expected, rtol=1e-12, atol=0.0)
 
 
 def test_build_bell_with_equal_envelopes_is_also_exchange_antisymmetric():
@@ -438,3 +453,115 @@ def test_factored_build_keeps_its_rejections(antisymmetric):
     between_points = FilterParams(center_wavelength=780e-9, fwhm=1e-13, shape="tophat")
     with pytest.raises(ValueError, match="filter support lies outside the grid"):
         build_type2_ultrafast(p, grid, between_points, antisymmetric=antisymmetric)
+
+
+def _dense_magnitude(magnitude) -> np.ndarray:
+    g, h, p = magnitude
+    return np.outer(g, h) * p[np.add.outer(np.arange(g.size), np.arange(h.size))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma_h=st.floats(min_value=1e12, max_value=1e15),
+    sigma_v=st.floats(min_value=1e12, max_value=1e15),
+    pump_fs=st.floats(min_value=5.0, max_value=5000.0),
+    offset=st.floats(min_value=-3.0, max_value=3.0),
+    half_width=st.floats(min_value=0.5, max_value=20.0),
+    n_points=st.integers(min_value=2, max_value=80),
+)
+def test_type2_peak_and_edge_match_the_dense_magnitude(
+    sigma_h, sigma_v, pump_fs, offset, half_width, n_points
+):
+    # the O(N) row-wise peak search against the max over all N^2 products
+    p = SpdcParams(sigma_h=sigma_h, sigma_v=sigma_v, pump_duration_fwhm=pump_fs * 1e-15)
+    scale = max(sigma_h, sigma_v)
+    grid = FrequencyGrid.centered(
+        p.photon_center_frequency + offset * scale, half_width * scale, n_points
+    )
+    magnitude, extremes = sources._type2_factors(p, grid)
+    assert extremes == sources._extremes(_dense_magnitude(magnitude))
+
+
+def test_type2_peak_and_edge_match_the_dense_magnitude_on_seeded_draws():
+    # each of the four grid sides holds the largest boundary value in about
+    # a quarter of these draws
+    rng = np.random.default_rng(2)
+    for _ in range(400):
+        sigma_h, sigma_v = 10.0 ** rng.uniform(12.0, 15.0, 2)
+        p = SpdcParams(
+            sigma_h=sigma_h, sigma_v=sigma_v, pump_duration_fwhm=10.0 ** rng.uniform(-14.3, -11.3)
+        )
+        scale = max(sigma_h, sigma_v)
+        grid = FrequencyGrid.centered(
+            p.photon_center_frequency + rng.uniform(-3.0, 3.0) * scale,
+            rng.uniform(0.5, 20.0) * scale,
+            int(rng.integers(2, 80)),
+        )
+        magnitude, extremes = sources._type2_factors(p, grid)
+        assert extremes == sources._extremes(_dense_magnitude(magnitude))
+
+
+def test_outer_peak_and_edge_match_the_dense_magnitude():
+    grid = FrequencyGrid.centered(CENTER, 1.8e14, 97)
+    lines = [gaussian_line(grid, CENTER + shift, 2.5e13) for shift in (-1.2e14, 0.0, 4e13)]
+    for a in lines:
+        for b in lines:
+            assert sources._outer_extremes(a, b) == sources._extremes(np.abs(np.outer(a, b)))
+            complex_a = a.astype(np.complex128)
+            assert sources._outer_extremes(complex_a, b) == sources._extremes(
+                np.abs(np.outer(complex_a, b))
+            )
+
+
+def _narrow_grid_message(mags: np.ndarray, what: str) -> str:
+    peak, edge = sources._extremes(mags)
+    return (
+        f"grid too narrow for {what}: boundary amplitude is {edge / peak:.3e} "
+        f"of the peak (limit {sources.EDGE_FRACTION_TOL:.1e}); widen the grid"
+    )
+
+
+def test_builders_name_the_dense_edge_ratio_when_the_grid_is_too_narrow():
+    p = SpdcParams()
+    narrow = FrequencyGrid.centered(p.photon_center_frequency, 1.0e14, 64)
+    magnitude = _dense_magnitude(sources._type2_factors(p, narrow)[0])
+    message = _narrow_grid_message(magnitude, "the joint spectral envelope")
+    for antisymmetric in (False, True):
+        with pytest.raises(ValueError) as error:
+            build_type2_ultrafast(p, narrow, antisymmetric=antisymmetric)
+        assert str(error.value) == message
+
+    grid = FrequencyGrid.centered(CENTER, 1.0e14, 64)
+    g1 = gaussian_line(grid, CENTER + 2e13, 2.5e13)
+    g2 = gaussian_line(grid, CENTER - 2e13, 2.5e13)
+    w = grid.trapezoid_weights()
+    g1, g2 = (g / math.sqrt(float(np.sum(w * g * g))) for g in (g1, g2))
+    with pytest.raises(ValueError) as error:
+        build_bell_psi_minus(g1, g2, grid)
+    g1_scaled = g1.astype(np.complex128) / math.sqrt(
+        float(np.sum(w * np.abs(g1) ** 2)) * float(np.sum(w * np.abs(g2) ** 2))
+    )
+    assert str(error.value) == _narrow_grid_message(
+        np.abs(np.outer(g1_scaled, g2)), "the Bell-state envelope"
+    )
+
+    wide = FrequencyGrid.centered(CENTER, 1.5e14, 64)
+    red, blue = CENTER - 1.2e14, CENTER + 1.2e14
+    with pytest.raises(ValueError) as error:
+        build_two_color("ii", red, blue, 2e13, wide)
+    mags = np.outer(gaussian_line(wide, red, 2e13), gaussian_line(wide, blue, 2e13))
+    assert str(error.value) == _narrow_grid_message(mags, "the two-color envelope")
+
+
+@pytest.mark.parametrize("case", TWO_COLOR_CASES)
+def test_factored_builds_keep_the_amplitudes_of_the_dense_formulas(case):
+    # values built from the factors equal the outer products they replace, bit for bit
+    grid = FrequencyGrid.centered(CENTER, 2.8e14, 128)
+    red, blue = gaussian_line(grid, CENTER - 1.2e14, 2e13), gaussian_line(grid, CENTER + 1.2e14, 2e13)
+    state = build_two_color(case, CENTER - 1.2e14, CENTER + 1.2e14, 2e13, grid)
+    f1 = np.outer(red, blue)
+    f2 = -f1 if case == "i" else -np.outer(blue, red)
+    for amp, expected in ((state.f_h1v2, f1), (state.f_v1h2, f2)):
+        np.testing.assert_array_equal(
+            amp.values.view(np.uint64), expected.astype(np.complex128).view(np.uint64)
+        )
