@@ -24,17 +24,16 @@ read
 where ``swap`` transposes the two frequency arguments.
 
 All integrals are 2D trapezoidal quadratures on the shared grid with the
-separable weight w_i w_j.  The builders return amplitudes that carry their
-1D factors (``Factors``), and ``reductions`` (polarization, symmetry) of
-such a state is a few 1D convolutions that make no N^2 pass.  Every other
-pass walks the N x N values in row blocks, so it builds no N x N
-temporary: ``norm_squared`` and ``inner_product`` sum w^T X w block by
-block, and ``spectra`` (coincidence rates, coherence time), like
-``reductions`` of a state without factors (a reconstructed oracle state,
-an antisymmetrized envelope, arrays), walks the state once in blocks
-scaled by sqrt(w_i w_j).  The state normalization convention
-is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the 1/2 carrying the global
-prefactor of the two-term superposition.
+separable weight w_i w_j.  ``inner_product`` and ``norm_squared`` are the
+only quadratures that read how an amplitude is stored: of two amplitudes
+with 1D factors (``Factors``), as every builder returns, each is one 1D
+convolution; otherwise they sum w^T X w over row blocks of the N x N
+values, building no N x N temporary.  ``reductions`` (polarization,
+symmetry) is built from those two calls, so of a built state it makes no
+N^2 pass.  ``spectra`` (coincidence rates, coherence time) walks the
+values once in row blocks scaled by sqrt(w_i w_j).  The state
+normalization convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1,
+the 1/2 carrying the global prefactor of the two-term superposition.
 """
 
 from __future__ import annotations
@@ -125,8 +124,8 @@ class Factors(NamedTuple):
 
     The real magnitude m is ``magnitude`` = (g, h, p) with
     m[i, j] = g[i] h[j] p[i + j], p holding 2N - 1 samples (a Hankel
-    matrix on the grid), or None for m = 1.  The two terms of a state share
-    one magnitude object; ``reductions`` checks that by identity.
+    matrix on the grid), or None for m = 1.  Any two factored amplitudes
+    on one grid have an O(N) inner product, whatever their magnitudes.
     """
 
     x: np.ndarray
@@ -151,10 +150,10 @@ class JointAmplitude:
     A factored amplitude keeps its O(N) factors, which must be finite; it
     marks them read-only without copying them, like dense values.  It
     builds the read-only N x N ``values`` on first read, as
-    outer(x, y) * (outer(g, h) * hankel(p)).  ``reductions`` reads the
-    factors instead, so ``classify`` and ``chsh`` of a built state never
-    form an N x N array; scans, ``bs_transform`` and the oracle read
-    ``values``.
+    outer(x, y) * (outer(g, h) * hankel(p)).  ``inner_product``,
+    ``norm_squared``, ``swap`` and ``normalize`` keep to the factors, so
+    ``classify`` and ``chsh`` of a built state never form an N x N array;
+    scans, ``bs_transform`` and the oracle read ``values``.
     """
 
     grid: FrequencyGrid
@@ -191,8 +190,15 @@ class JointAmplitude:
         return _frozen_values(values, self.grid.n_points)
 
     def swap(self) -> "JointAmplitude":
-        """Exchange the two frequency arguments: swap(F)(w, w') = F(w', w)."""
-        return JointAmplitude(self.grid, self.values.T.copy())
+        """Exchange the two frequency arguments: swap(F)(w, w') = F(w', w).
+        Factors swap in O(N): x with y, and g with h."""
+        if self.factors is None:
+            return JointAmplitude(self.grid, self.values.T.copy())
+        x, y, magnitude = self.factors
+        if magnitude is not None:
+            g, h, p = magnitude
+            magnitude = (h, g, p)
+        return JointAmplitude(self.grid, factors=Factors(y, x, magnitude))
 
 
 def _frozen_values(values, n: int) -> np.ndarray:
@@ -233,7 +239,10 @@ def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | com
     else:
         size = u.size + v.size - 1
         length = 1 << (size - 1).bit_length()
-        real = not (np.iscomplexobj(u) or np.iscomplexobj(v))
+        # real transforms, of half the size, where no imaginary part is nonzero
+        real = not any(np.iscomplexobj(z) and z.imag.any() for z in (u, v))
+        if real:
+            u, v = u.real, v.real
         fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
         spectrum = fft(u, length)
         spectrum *= fft(v, length)
@@ -244,13 +253,30 @@ def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | com
     )
 
 
+def _factored_inner(grid: FrequencyGrid, a: Factors, b: Factors) -> complex:
+    """<A, B> of A = (xa (x) ya) ma and B = (xb (x) yb) mb, m[i, j] = g_i h_j p_{i+j}:
+    sum_k (pa pb)_k (u * v)_k with u = w ga gb conj(xa) xb and
+    v = w hb ha conj(ya) yb, one ``hankel_sum``.  Taking hb before ha gives
+    <F1, swap F2> the same column weight w g h as its row weight, bit for bit."""
+    w = grid.trapezoid_weights()
+    ga, ha, pa = a.magnitude or (1.0, 1.0, 1.0)
+    gb, hb, pb = b.magnitude or (1.0, 1.0, 1.0)
+    # ones as an array: a broadcast view would round the final sums differently
+    p = np.ones(2 * w.size - 1) if a.magnitude is b.magnitude is None else pa * pb
+    u = w * ga * gb * np.conj(a.x) * b.x
+    return complex(hankel_sum(p, u, w * hb * ha * np.conj(a.y) * b.y))
+
+
 def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
-    """Trapezoidal quadrature of <a, b> = integral of conj(a) b dw dw',
-    summed as w^T (conj(a) b) w over row blocks, with the 1D trapezoid
-    weights w of the shared grid.  Amplitudes on different grids are rejected.
+    """Trapezoidal quadrature of <a, b> = integral of conj(a) b dw dw', with
+    the 1D trapezoid weights w of the shared grid: of two factored
+    amplitudes one 1D convolution, else w^T (conj(a) b) w summed over row
+    blocks.  Amplitudes on different grids are rejected.
     """
     if a.grid != b.grid:
         raise ValueError("amplitudes live on different grids")
+    if a.factors is not None and b.factors is not None:
+        return _factored_inner(a.grid, a.factors, b.factors)
     w = a.grid.trapezoid_weights()
     total = 0j
     for rows in _row_blocks(w.size):
@@ -259,9 +285,12 @@ def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
 
 
 def norm_squared(a: JointAmplitude) -> float:
-    """Trapezoidal quadrature of ||a||^2 = integral of |a|^2, summed as
-    w^T |a|^2 w over row blocks.  The squares are formed before the weights,
-    so an entry whose square underflows adds exactly 0."""
+    """Trapezoidal quadrature of ||a||^2 = integral of |a|^2: <a, a> of a
+    factored amplitude, else w^T |a|^2 w summed over row blocks.  There the
+    squares are formed before the weights, so an entry whose square
+    underflows adds exactly 0."""
+    if a.factors is not None:
+        return _factored_inner(a.grid, a.factors, a.factors).real
     w = a.grid.trapezoid_weights()
     # real and imaginary parts side by side, each column's weight twice
     parts, w_parts = a.values.view(np.float64), np.repeat(w, 2)
@@ -304,7 +333,8 @@ class TwoPhotonState:
 
 
 def normalize(state: TwoPhotonState) -> TwoPhotonState:
-    """Rescale both amplitudes so the combined norm is exactly one.
+    """Rescale both amplitudes so the combined norm is exactly one; a
+    factored amplitude keeps its factors, with x scaled.
 
     The zero state cannot be normalized and is rejected.
     """
@@ -312,10 +342,13 @@ def normalize(state: TwoPhotonState) -> TwoPhotonState:
     if not math.isfinite(total) or total <= 0.0:
         raise ValueError(f"cannot normalize state with combined norm^2 = {total}")
     scale = 1.0 / math.sqrt(total)
-    return TwoPhotonState(
-        JointAmplitude(state.grid, state.f_h1v2.values * scale),
-        JointAmplitude(state.grid, state.f_v1h2.values * scale),
-    )
+
+    def scaled(amp: JointAmplitude) -> JointAmplitude:
+        if amp.factors is None:
+            return JointAmplitude(state.grid, amp.values * scale)
+        return JointAmplitude(state.grid, factors=amp.factors._replace(x=amp.factors.x * scale))
+
+    return TwoPhotonState(scaled(state.f_h1v2), scaled(state.f_v1h2))
 
 
 def require_normalized(state: TwoPhotonState) -> None:
@@ -333,16 +366,6 @@ def _require_unit_norm(total: float) -> None:
         )
 
 
-def _weighted_blocks(state: TwoPhotonState):
-    """Yield (rows, weight, weight * F1[rows], weight * F2[rows]), fresh, per row
-    block, with weight = s_i s_j, s = sqrt(trapezoid weights), symmetric bit for bit."""
-    s = np.sqrt(state.grid.trapezoid_weights())
-    f1, f2 = state.f_h1v2.values, state.f_v1h2.values
-    for rows in _row_blocks(s.size):
-        weight = s[rows, None] * s[None, :]
-        yield rows, weight, weight * f1[rows], weight * f2[rows]
-
-
 @dataclass(frozen=True)
 class StateReductions:
     """Quadratures of F1 = f_h1v2 and F2 = f_v1h2 on the state's grid.
@@ -356,8 +379,7 @@ class StateReductions:
     * path_overlap -- <F1, swap F2>, the overlap behind the polarization
       correlations,
     * plus_norm -- ||F1 + F2||^2 and path_plus_norm -- ||F1 + swap F2||^2,
-      summed directly rather than expanded, so that an exactly
-      antisymmetric pair gives exactly zero.
+      summed directly wherever exact negation can make them exactly zero.
     """
 
     n1: float
@@ -373,62 +395,34 @@ class StateReductions:
 
 
 def reductions(state: TwoPhotonState) -> StateReductions:
-    """``StateReductions`` of the state's factors when both amplitudes have
-    them over one shared magnitude, each one 1D convolution; otherwise one
-    dot product of scaled blocks per block.  Scaling keeps exact negation
-    exact, so plus norms stay exactly 0."""
-    f1, f2 = state.f_h1v2.factors, state.f_v1h2.factors
-    if f1 is not None and f2 is not None and f1.magnitude is f2.magnitude:
-        return _factored_reductions(state.grid, f1, f2)
-    sums = np.zeros(6, dtype=np.complex128)
-    for rows, weight, a, b in _weighted_blocks(state):
-        # swap F2 scaled in F2's row order, then transposed in cache (no strided read)
-        b_path = np.ascontiguousarray((state.f_v1h2.values[:, rows] * weight.T).T)
-        sums[:4] += [np.vdot(a, a), np.vdot(b, b), np.vdot(a, b), np.vdot(a, b_path)]
-        b += a
-        b_path += a
-        sums[4:] += [np.vdot(b, b), np.vdot(b_path, b_path)]
-    n1, n2, overlap, path_overlap, plus, path_plus = (complex(x) for x in sums)
-    return StateReductions(n1.real, n2.real, overlap, path_overlap, plus.real, path_plus.real)
+    """``StateReductions`` from ``norm_squared`` and ``inner_product``, with
+    each plus norm from ``_plus_norm``."""
+    f1, f2 = state.f_h1v2, state.f_v1h2
+    f2_path = f2.swap()
+    n1, n2 = norm_squared(f1), norm_squared(f2)
+    overlap, path_overlap = inner_product(f1, f2), inner_product(f1, f2_path)
+    plus = _plus_norm(f1, f2, n1 + n2 + 2.0 * overlap.real)
+    path_plus = _plus_norm(f1, f2_path, n1 + n2 + 2.0 * path_overlap.real)
+    return StateReductions(n1, n2, overlap, path_overlap, plus, path_plus)
 
 
-def _factored_reductions(grid: FrequencyGrid, f1: Factors, f2: Factors) -> StateReductions:
-    """With A = (xa (x) ya) m and B = (xb (x) yb) m, m[i, j] = g_i h_j p_{i+j},
-    <A, B> = sum_k p_k^2 (u * v)_k with u = w g^2 conj(xa) xb and
-    v = w h^2 conj(ya) yb.  swap F2 = (y2 (x) x2) swap(m), and swap(m) carries
-    g_j h_i, so <F1, swap F2> weighs both vectors by w g h."""
-    n = grid.n_points
-    g, h, p = f1.magnitude or (np.ones(n), np.ones(n), np.ones(2 * n - 1))
-    w = grid.trapezoid_weights()
-    p2, row_weight, col_weight, mixed_weight = p * p, w * g * g, w * h * h, w * g * h
-
-    def inner(xa, ya, xb, yb, u=row_weight, v=col_weight) -> complex:
-        return complex(hankel_sum(p2, u * np.conj(xa) * xb, v * np.conj(ya) * yb))
-
-    n1 = inner(f1.x, f1.y, f1.x, f1.y).real
-    n2 = inner(f2.x, f2.y, f2.x, f2.y).real
-    overlap = inner(f1.x, f1.y, f2.x, f2.y)
-    path_overlap = inner(f1.x, f1.y, f2.y, f2.x, mixed_weight, mixed_weight)
-
-    def plus_norm(xb, yb, cross: complex, same_magnitude: bool) -> float:
-        # ||F1 + B||^2 of B = (xb (x) yb) m; where F1 and B share a factor bit
-        # for bit, from the combined other one, so exact negation gives 0
-        if same_magnitude and np.array_equal(f1.x, xb):
-            total = f1.y + yb
-            return inner(f1.x, total, f1.x, total).real
-        if same_magnitude and np.array_equal(f1.y, yb):
-            total = f1.x + xb
-            return inner(total, f1.y, total, f1.y).real
-        return n1 + n2 + 2.0 * cross.real
-
-    return StateReductions(
-        n1,
-        n2,
-        overlap,
-        path_overlap,
-        plus_norm(f2.x, f2.y, overlap, True),
-        plus_norm(f2.y, f2.x, path_overlap, np.array_equal(g, h)),
-    )
+def _plus_norm(a: JointAmplitude, b: JointAmplitude, expanded: float) -> float:
+    """||a + b||^2, summed directly where exact negation can cancel it to 0:
+    over dense values, or over the combined factor where a and b share their
+    magnitude and one vector bit for bit.  Otherwise ``expanded``, the
+    n_a + n_b + 2 Re <a, b> the caller has."""
+    fa, fb = a.factors, b.factors
+    if fa is None or fb is None:
+        return norm_squared(JointAmplitude(a.grid, a.values + b.values))
+    ma, mb = fa.magnitude, fb.magnitude
+    if ma is mb or (ma is not None and mb is not None and all(map(np.array_equal, ma, mb))):
+        if np.array_equal(fa.x, fb.x):
+            combined = fa._replace(y=fa.y + fb.y)
+            return _factored_inner(a.grid, combined, combined).real
+        if np.array_equal(fa.y, fb.y):
+            combined = fa._replace(x=fa.x + fb.x)
+            return _factored_inner(a.grid, combined, combined).real
+    return expanded
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,7 +444,11 @@ def spectra(state: TwoPhotonState) -> StateSpectra:
     """
     n, step = state.grid.n_points, state.grid.step
     cross, intensity = np.zeros(2 * n - 1, dtype=np.complex128), np.zeros(2 * n - 1)
-    for rows, _, a, b in _weighted_blocks(state):
+    s = np.sqrt(state.grid.trapezoid_weights())
+    f1, f2 = state.f_h1v2.values, state.f_v1h2.values
+    for rows in _row_blocks(n):
+        weight = s[rows, None] * s[None, :]
+        a, b = weight * f1[rows], weight * f2[rows]
         r = a.shape[0]
         lo, width = n - r - rows.start, n + r - 1
         skew_intensity = np.zeros((r, n + r))

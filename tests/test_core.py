@@ -149,6 +149,41 @@ def test_swap_is_an_exact_involution_and_isometry(seed):
     assert norm_squared(swapped) == pytest.approx(norm_squared(amp), rel=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    unit_magnitude=st.booleans(),
+    real_valued_y=st.booleans(),
+)
+def test_factored_swap_keeps_its_factors_and_transposes_the_values(
+    seed, unit_magnitude, real_valued_y
+):
+    rng = np.random.default_rng(seed)
+    n = 9
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    y = rng.standard_normal(n) + (0j if real_valued_y else 1j * rng.standard_normal(n))
+    magnitude = None
+    if not unit_magnitude:
+        magnitude = tuple(rng.uniform(0.5, 1.0, size) for size in (n, n, 2 * n - 1))
+    amp = JointAmplitude(grid, factors=Factors(x, y, magnitude))
+    swapped = amp.swap()
+    assert swapped.factors.x is y and swapped.factors.y is x
+    if magnitude is None:
+        assert swapped.factors.magnitude is None
+    else:
+        g, h, p = swapped.factors.magnitude
+        assert g is magnitude[1] and h is magnitude[0] and p is magnitude[2]
+    transposed = np.ascontiguousarray(amp.values.T)
+    if real_valued_y:
+        assert swapped.values.tobytes() == transposed.tobytes()
+    else:
+        # numpy's SIMD complex multiply may fuse x*y and y*x differently,
+        # which moves the imaginary part by an ulp
+        scale = np.abs(transposed).max()
+        np.testing.assert_allclose(swapped.values, transposed, rtol=0.0, atol=1e-15 * scale)
+
+
 def test_inner_product_requires_matching_grids():
     a = JointAmplitude(FrequencyGrid.centered(2.4e15, 1e14, 8), np.ones((8, 8)))
     b = JointAmplitude(FrequencyGrid.centered(2.4e15, 2e14, 8), np.ones((8, 8)))
@@ -403,9 +438,10 @@ def test_a_factored_state_and_its_dense_copy_give_the_same_reductions(name):
     cancel=st.booleans(),
     unit_magnitude=st.booleans(),
     symmetric_magnitude=st.booleans(),
+    distinct_magnitudes=st.booleans(),
 )
 def test_factored_reductions_of_random_factors_match_direct_sums(
-    seed, n_points, shared, cancel, unit_magnitude, symmetric_magnitude
+    seed, n_points, shared, cancel, unit_magnitude, symmetric_magnitude, distinct_magnitudes
 ):
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid.centered(2.4e15, 5e13, n_points)
@@ -424,14 +460,18 @@ def test_factored_reductions_of_random_factors_match_direct_sums(
         x2, y2 = -y1 if cancel else x2, x1.copy()
     elif shared == "y-path":
         x2, y2 = y1.copy(), -x1 if cancel else y2
-    magnitude = None
-    if not unit_magnitude:
+
+    def random_magnitude():
         g = rng.uniform(0.1, 2.0, n_points)
         h = g.copy() if symmetric_magnitude else rng.uniform(0.1, 2.0, n_points)
-        magnitude = (g, h, rng.uniform(0.1, 2.0, 2 * n_points - 1))
+        return g, h, rng.uniform(0.1, 2.0, 2 * n_points - 1)
+
+    magnitude = None if unit_magnitude else random_magnitude()
+    # ``distinct_magnitudes`` gives F2 a (g, h, p) of its own
+    magnitude2 = random_magnitude() if distinct_magnitudes else magnitude
     state = TwoPhotonState(
         JointAmplitude(grid, factors=Factors(x1, y1, magnitude)),
-        JointAmplitude(grid, factors=Factors(x2, y2, magnitude)),
+        JointAmplitude(grid, factors=Factors(x2, y2, magnitude2)),
     )
     got = dataclasses.asdict(reductions(state))
     scale = got["n1"] + got["n2"]
@@ -440,9 +480,10 @@ def test_factored_reductions_of_random_factors_match_direct_sums(
     walked = dataclasses.asdict(reductions(_densified(state)))
     for key in got:
         assert abs(got[key] - walked[key]) <= 1e-13 * scale, key
-    if cancel and shared in ("x", "y"):
+    if cancel and shared in ("x", "y") and not distinct_magnitudes:
         assert got["plus_norm"] == 0.0
-    if cancel and shared in ("x-path", "y-path") and (unit_magnitude or symmetric_magnitude):
+    path_shared = unit_magnitude or symmetric_magnitude
+    if cancel and shared in ("x-path", "y-path") and path_shared and not distinct_magnitudes:
         assert got["path_plus_norm"] == 0.0
 
 
@@ -454,7 +495,7 @@ def test_classify_and_chsh_of_a_built_state_allocate_under_an_eighth_of_an_ampli
 
     n_points = 1024
     config = load_config(name)
-    for observable in (classify, chsh):
+    for observable in (classify, chsh, require_normalized, normalize):
         tracemalloc.start()
         try:
             observable(config.build_state(n_points))
@@ -462,6 +503,11 @@ def test_classify_and_chsh_of_a_built_state_allocate_under_an_eighth_of_an_ampli
         finally:
             tracemalloc.stop()
         assert peak < 16 * n_points**2 / 8, observable.__name__
+    state = config.build_state(n_points)
+    unit = normalize(state)
+    magnitude = state.f_h1v2.factors.magnitude
+    for amp in (unit.f_h1v2, unit.f_v1h2):
+        assert amp.factors is not None and amp.factors.magnitude is magnitude
 
 
 def test_factored_values_follow_the_formula_and_are_read_only():
@@ -497,17 +543,22 @@ def test_factored_amplitude_validation():
         JointAmplitude(grid, factors=Factors(ones, np.array([1.0, np.nan, 1.0, 1.0])))
 
 
-@pytest.mark.parametrize("complex_inputs", [False, True])
-def test_hankel_sum_by_fft_past_the_block_size_matches_the_direct_sum(complex_inputs):
+@pytest.mark.parametrize("inputs", ["real", "complex", "zero-imaginary"])
+def test_hankel_sum_by_fft_past_the_block_size_matches_the_direct_sum(inputs):
     rng = np.random.default_rng(3)
     n = 9000  # past the 8192 entries up to which the convolution is direct
 
     def vector(size):
         values = rng.uniform(0.0, 1.0, size)
-        return values + 1j * rng.uniform(0.0, 1.0, size) if complex_inputs else values
+        if inputs == "complex":
+            return values + 1j * rng.uniform(0.0, 1.0, size)
+        return values + 0j if inputs == "zero-imaginary" else values
 
     u, v, weights = vector(n), vector(n), rng.uniform(0.0, 1.0, 2 * n - 1)
     expected = sum(u[i] * np.dot(v, weights[i : i + n]) for i in range(n))
     got = hankel_sum(weights, u, v)
-    assert np.iscomplexobj(got) == complex_inputs
+    # complex dtype with zero imaginary parts takes the real transforms
+    assert np.iscomplexobj(got) == (inputs == "complex")
     assert abs(got - expected) <= 1e-12 * abs(expected)
+    if inputs == "zero-imaginary":
+        assert got == hankel_sum(weights, u.real.copy(), v.real.copy())

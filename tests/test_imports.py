@@ -154,7 +154,8 @@ def test_oracle_shares_no_code_with_the_quadrature_path():
         "trapezoid_weights",
         "reductions",
         "spectra",
-        "_weighted_blocks",
+        "_factored_inner",
+        "hankel_sum",
         "inner_product",
         "norm_squared",
         "coincidence_probability",
