@@ -15,11 +15,13 @@ the f_v1h2 term).  Positive delay retards path 1.
 The delay enters the coincidence rate only through the cross term, as
 e^{i (w_V - w_H) delay}, so rates and the coherence time are closed forms
 of one ``core.StateSpectra`` (sums along the diagonals w_V - w_H = k dw):
-one N^2 pass per call, and one for a whole ``delay_scan``, after which K
-delays cost O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds and
-O(K sqrt(N)) memory.  The cross term is periodic in the delay with period
-2 pi / dw: a delay beyond ``FrequencyGrid.alias_delay`` = pi / dw gives the
-same rate as that delay shifted by 2 pi / dw back towards zero.
+one blocked N^2 pass per call, and one for a whole ``delay_scan``, which
+of a built state forms its blocks from the 1D factors, never the N x N
+values.  After it, K delays cost O(K sqrt(N)) exponentials, K (2N - 1)
+multiply-adds and O(K sqrt(N)) memory.  The cross term is periodic in the
+delay with period 2 pi / dw: a delay beyond ``FrequencyGrid.alias_delay``
+= pi / dw gives the same rate as that delay shifted by 2 pi / dw back
+towards zero.
 """
 
 from __future__ import annotations

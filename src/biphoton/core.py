@@ -24,14 +24,16 @@ read
 where ``swap`` transposes the two frequency arguments.
 
 All integrals are 2D trapezoidal quadratures on the shared grid with the
-separable weight w_i w_j.  ``inner_product`` and ``norm_squared`` are the
-only quadratures that read how an amplitude is stored: of two amplitudes
-with 1D factors (``Factors``), as every builder returns, each is one 1D
-convolution; otherwise they sum w^T X w over row blocks of the N x N
-values, building no N x N temporary.  ``reductions`` (polarization,
-symmetry) is built from those two calls, so of a built state it makes no
-N^2 pass.  ``spectra`` (coincidence rates, coherence time) walks the
-values once in row blocks scaled by sqrt(w_i w_j).  The state
+separable weight w_i w_j.  ``inner_product`` and ``norm_squared``, and the
+block integrands of ``spectra``, are the only code that reads how an
+amplitude is stored.  Of two amplitudes with 1D factors (``Factors``), as
+every builder returns, each quadrature is one 1D convolution; otherwise
+they sum w^T X w over row blocks of the N x N values, building no N x N
+temporary.  ``reductions`` (polarization, symmetry) is built from those
+two calls, so of a built state it makes no N^2 pass.  ``spectra`` (coincidence rates, coherence time) sums its two
+integrands over row blocks, each block formed from the 1D factors of two
+factored amplitudes and otherwise from the values scaled by
+sqrt(w_i w_j), so of a built state it forms no N x N array.  The state
 normalization convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1,
 the 1/2 carrying the global prefactor of the two-term superposition.
 """
@@ -113,9 +115,15 @@ class FrequencyGrid:
         return np.exp(1j * self.points() * t)
 
     def trapezoid_weights(self) -> np.ndarray:
-        """1D trapezoid weights: full step inside, half step at both ends."""
+        """1D trapezoid weights: full step inside, half step at both ends.
+        Built once per grid and read-only."""
+        return self._weights
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
         w = np.full(self.n_points, self.step)
         w[0] = w[-1] = 0.5 * self.step
+        w.setflags(write=False)
         return w
 
 
@@ -151,9 +159,10 @@ class JointAmplitude:
     marks them read-only without copying them, like dense values.  It
     builds the read-only N x N ``values`` on first read, as
     outer(x, y) * (outer(g, h) * hankel(p)).  ``inner_product``,
-    ``norm_squared``, ``swap`` and ``normalize`` keep to the factors, so
-    ``classify`` and ``chsh`` of a built state never form an N x N array;
-    scans, ``bs_transform`` and the oracle read ``values``.
+    ``norm_squared``, ``swap``, ``normalize`` and ``spectra`` keep to the
+    factors, so ``classify``, ``chsh`` and the scans of a built state never
+    form an N x N array; ``bs_transform``, ``apply_path1_delay`` and the
+    oracle read ``values``.
     """
 
     grid: FrequencyGrid
@@ -253,18 +262,24 @@ def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | com
     )
 
 
-def _factored_inner(grid: FrequencyGrid, a: Factors, b: Factors) -> complex:
-    """<A, B> of A = (xa (x) ya) ma and B = (xb (x) yb) mb, m[i, j] = g_i h_j p_{i+j}:
-    sum_k (pa pb)_k (u * v)_k with u = w ga gb conj(xa) xb and
-    v = w hb ha conj(ya) yb, one ``hankel_sum``.  Taking hb before ha gives
-    <F1, swap F2> the same column weight w g h as its row weight, bit for bit."""
+def _factored_vectors(grid: FrequencyGrid, a: Factors, b: Factors):
+    """(p, u, v) with w_i w_j conj(A[i, j]) B[i, j] = u_i v_j p_{i+j}, for
+    A = (xa (x) ya) ma and B = (xb (x) yb) mb, m[i, j] = g_i h_j p_{i+j}:
+    p = pa pb, u = w ga gb conj(xa) xb and v = w hb ha conj(ya) yb.  Taking
+    hb before ha gives <F1, swap F2> the same column weight w g h as its
+    row weight, bit for bit."""
     w = grid.trapezoid_weights()
     ga, ha, pa = a.magnitude or (1.0, 1.0, 1.0)
     gb, hb, pb = b.magnitude or (1.0, 1.0, 1.0)
     # ones as an array: a broadcast view would round the final sums differently
     p = np.ones(2 * w.size - 1) if a.magnitude is b.magnitude is None else pa * pb
     u = w * ga * gb * np.conj(a.x) * b.x
-    return complex(hankel_sum(p, u, w * hb * ha * np.conj(a.y) * b.y))
+    return p, u, w * hb * ha * np.conj(a.y) * b.y
+
+
+def _factored_inner(grid: FrequencyGrid, a: Factors, b: Factors) -> complex:
+    """<A, B> = sum_k p_k (u * v)_k of ``_factored_vectors``, one ``hankel_sum``."""
+    return complex(hankel_sum(*_factored_vectors(grid, a, b)))
 
 
 def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
@@ -291,12 +306,16 @@ def norm_squared(a: JointAmplitude) -> float:
     underflows adds exactly 0."""
     if a.factors is not None:
         return _factored_inner(a.grid, a.factors, a.factors).real
-    w = a.grid.trapezoid_weights()
-    # real and imaginary parts side by side, each column's weight twice
-    parts, w_parts = a.values.view(np.float64), np.repeat(w, 2)
+    return _walked_norm(a.grid, lambda rows: a.values[rows])
+
+
+def _walked_norm(grid: FrequencyGrid, block) -> float:
+    """sum_ij w_i w_j |X[i, j]|^2 of the X whose row block ``block(rows)`` gives."""
+    w = grid.trapezoid_weights()
+    w_parts = np.repeat(w, 2)  # real and imaginary parts side by side
     total = 0.0
     for rows in _row_blocks(w.size):
-        total += w[rows] @ np.square(parts[rows]) @ w_parts
+        total += w[rows] @ np.square(block(rows).view(np.float64)) @ w_parts
     return float(total)
 
 
@@ -408,12 +427,12 @@ def reductions(state: TwoPhotonState) -> StateReductions:
 
 def _plus_norm(a: JointAmplitude, b: JointAmplitude, expanded: float) -> float:
     """||a + b||^2, summed directly where exact negation can cancel it to 0:
-    over dense values, or over the combined factor where a and b share their
-    magnitude and one vector bit for bit.  Otherwise ``expanded``, the
-    n_a + n_b + 2 Re <a, b> the caller has."""
+    over row blocks of dense values, or over the combined factor where a
+    and b share their magnitude and one vector bit for bit.  Otherwise
+    ``expanded``, the n_a + n_b + 2 Re <a, b> the caller has."""
     fa, fb = a.factors, b.factors
     if fa is None or fb is None:
-        return norm_squared(JointAmplitude(a.grid, a.values + b.values))
+        return _walked_norm(a.grid, lambda rows: a.values[rows] + b.values[rows])
     ma, mb = fa.magnitude, fb.magnitude
     if ma is mb or (ma is not None and mb is not None and all(map(np.array_equal, ma, mb))):
         if np.array_equal(fa.x, fb.x):
@@ -441,21 +460,65 @@ def spectra(state: TwoPhotonState) -> StateSpectra:
     """``StateSpectra`` from one blocked pass.  Row t of an r-row block goes
     to row r - 1 - t of a skew buffer with r zeros after each row; read as
     rows one entry shorter, each column is one diagonal of the block.
+
+    Only the block integrands depend on how the amplitudes are stored: of
+    two factored amplitudes they come from the factors, so the N x N
+    ``values`` are never formed.  Spectra that overflow are refused.
     """
     n, step = state.grid.n_points, state.grid.step
     cross, intensity = np.zeros(2 * n - 1, dtype=np.complex128), np.zeros(2 * n - 1)
+    factored = state.f_h1v2.factors is not None and state.f_v1h2.factors is not None
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        fill = (_factored_integrands if factored else _dense_integrands)(state)
+        for rows in _row_blocks(n):
+            r = min(rows.stop, n) - rows.start
+            lo, width = n - r - rows.start, n + r - 1
+            skew_intensity = np.zeros((r, n + r))
+            skew_cross = np.zeros((r, n + r), dtype=np.complex128)
+            fill(rows, skew_cross[::-1, :n], skew_intensity[::-1, :n])
+            for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
+                total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
+    if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(intensity))):
+        raise ValueError(
+            "state spectra are not finite: w_i w_j |F|^2 overflows, or a factored "
+            "amplitude's x and y factors are scaled too far apart to be squared"
+        )
+    return StateSpectra(np.arange(1 - n, n) * step, cross, 0.5 * intensity, step)
+
+
+def _dense_integrands(state: TwoPhotonState):
+    """Writes a row block of w_i w_j conj(F1) F2 and w_i w_j (|F1|^2 + |F2|^2),
+    from the values scaled by sqrt(w_i w_j)."""
     s = np.sqrt(state.grid.trapezoid_weights())
     f1, f2 = state.f_h1v2.values, state.f_v1h2.values
-    for rows in _row_blocks(n):
+
+    def fill(rows: slice, cross: np.ndarray, intensity: np.ndarray) -> None:
         weight = s[rows, None] * s[None, :]
         a, b = weight * f1[rows], weight * f2[rows]
-        r = a.shape[0]
-        lo, width = n - r - rows.start, n + r - 1
-        skew_intensity = np.zeros((r, n + r))
-        skew_cross = np.zeros((r, n + r), dtype=np.complex128)
         squares = a.view(np.float64) ** 2 + b.view(np.float64) ** 2
-        np.add(squares[:, 0::2], squares[:, 1::2], out=skew_intensity[::-1, :n])
-        np.multiply(np.conj(a, out=a), b, out=skew_cross[::-1, :n])
-        for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
-            total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
-    return StateSpectra(np.arange(1 - n, n) * step, cross, 0.5 * intensity, step)
+        np.add(squares[:, 0::2], squares[:, 1::2], out=intensity)
+        np.multiply(np.conj(a, out=a), b, out=cross)
+
+    return fill
+
+
+def _factored_integrands(state: TwoPhotonState):
+    """Writes the row blocks of ``_dense_integrands`` from the factors, as
+    the outer products of ``_factored_vectors`` times rows of their Hankel
+    matrices, reading no values.  w_i w_j |F|^2 takes the vectors of <F, F>."""
+    grid, f1, f2 = state.grid, state.f_h1v2.factors, state.f_v1h2.factors
+    hankel = functools.partial(sliding_window_view, window_shape=grid.n_points)
+    p, u, v = _factored_vectors(grid, f1, f2)
+    (p1, u1, v1), (p2, u2, v2) = (_factored_vectors(grid, f, f) for f in (f1, f2))
+    p, p1, p2 = hankel(p), hankel(p1), hankel(p2)
+    u1, v1, u2, v2 = u1.real, v1.real, u2.real, v2.real
+
+    def fill(rows: slice, cross: np.ndarray, intensity: np.ndarray) -> None:
+        # the outputs are strided views: each is written once, from contiguous terms
+        np.multiply(np.multiply.outer(u[rows], v), p[rows], out=cross)
+        term1, term2 = np.multiply.outer(u1[rows], v1), np.multiply.outer(u2[rows], v2)
+        term1 *= p1[rows]
+        term2 *= p2[rows]
+        np.add(term1, term2, out=intensity)
+
+    return fill

@@ -484,6 +484,31 @@ def test_scan_rates_match_an_extended_precision_evaluation(preset, n_points):
         assert float(np.max(np.abs(rates - reference))) <= 2e-15
 
 
+@pytest.mark.parametrize("name", ["uncompensated_peak", "bell_ideal", "two_color_path"])
+def test_scans_of_a_built_state_form_no_amplitude(name):
+    import tracemalloc
+
+    n_points = 1024
+    config = load_config(name)
+    state = config.build_state(n_points)
+    delays = config.scan.delays()
+    calls = {
+        "delay_scan": lambda: delay_scan(state, delays),
+        "coincidence_probability": lambda: coincidence_probability(state, 1e-14),
+        "coherence_time": lambda: coherence_time(state),
+    }
+    for label, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_points**2 / 8, label
+    for amp in (state.f_h1v2, state.f_v1h2):
+        assert "values" not in amp.__dict__
+
+
 @pytest.mark.parametrize("n_points", [2, 5, 13, 1024])
 def test_scan_rates_do_not_depend_on_the_batch(n_points):
     # 2N - 1 = 3 needs padding to a square table; 9 and 25 are squares

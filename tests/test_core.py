@@ -19,6 +19,7 @@ from biphoton import (
     bell_residual,
     coherence_time,
     coincidence_probability,
+    delay_scan,
     inner_product,
     norm_squared,
     normalize,
@@ -82,6 +83,19 @@ def test_grid_centered_points_and_weights():
     assert w[0] == pytest.approx(grid.step / 2.0)
     assert w[-1] == pytest.approx(grid.step / 2.0)
     assert float(np.sum(w)) == pytest.approx(2.4e14, rel=1e-12)
+
+
+def test_trapezoid_weights_are_built_once_per_grid_and_read_only():
+    grid = FrequencyGrid.centered(2.4e15, 1.2e14, 7)
+    w = grid.trapezoid_weights()
+    assert grid.trapezoid_weights() is w
+    expected = np.full(7, grid.step)
+    expected[0] = expected[-1] = 0.5 * grid.step
+    np.testing.assert_array_equal(w, expected)
+    with pytest.raises(ValueError):
+        w[1] = 0.0
+    # the cached array is no field: grids still compare by their three fields
+    assert grid == FrequencyGrid.centered(2.4e15, 1.2e14, 7)
 
 
 def test_grid_equality_is_fieldwise():
@@ -485,6 +499,114 @@ def test_factored_reductions_of_random_factors_match_direct_sums(
     path_shared = unit_magnitude or symmetric_magnitude
     if cancel and shared in ("x-path", "y-path") and path_shared and not distinct_magnitudes:
         assert got["path_plus_norm"] == 0.0
+
+
+def _assert_spectra_match(state: TwoPhotonState, reference: TwoPhotonState, tol: float) -> None:
+    got, expected = spectra(state), spectra(reference)
+    np.testing.assert_allclose(got.cross, expected.cross, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(got.intensity, expected.intensity, rtol=0.0, atol=tol)
+    np.testing.assert_array_equal(got.offsets, expected.offsets)
+
+
+#: The presets, the antisymmetric source and three seeded type-II variants.
+_SPECTRA_CONFIGS = [
+    *(name for name in sorted(_FACTORED_CONFIGS) if not name.startswith("variant-")),
+    "variant-0",
+    "variant-1",
+    "variant-2",
+]
+
+
+@pytest.mark.parametrize("n_points", [64, 257, 1024])
+@pytest.mark.parametrize("name", _SPECTRA_CONFIGS)
+def test_factored_spectra_match_the_dense_walk(name, n_points):
+    state = _build(_FACTORED_CONFIGS[name], n_points)
+    dense = _densified(state)
+    _assert_spectra_match(state, dense, 1e-13)
+    # tau_c is of order 1e-13 s; compared relative to itself
+    assert coherence_time(state) == pytest.approx(coherence_time(dense), rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=2, max_value=40),
+    magnitudes=st.sampled_from(["none", "shared", "distinct", "first only", "second only"]),
+    zeros=st.sampled_from(["none", "entries", "second amplitude"]),
+)
+def test_factored_spectra_of_random_factors_match_the_dense_walk(seed, n_points, magnitudes, zeros):
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n_points)
+
+    def vector(size=n_points):
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if zeros == "entries":  # exact zeros, also in the magnitudes
+            values[rng.random(size) < 0.3] = 0.0
+        return values
+
+    def magnitude():
+        return tuple(np.abs(vector(size)) for size in (n_points, n_points, 2 * n_points - 1))
+
+    first = None if magnitudes in ("none", "second only") else magnitude()
+    second = {"shared": first, "distinct": magnitude(), "second only": magnitude()}.get(magnitudes)
+    x2 = np.zeros(n_points, dtype=complex) if zeros == "second amplitude" else vector()
+    state = TwoPhotonState(
+        JointAmplitude(grid, factors=Factors(vector(), vector(), first)),
+        JointAmplitude(grid, factors=Factors(x2, vector(), second)),
+    )
+    dense = _densified(state)
+    scale = norm_squared(dense.f_h1v2) + norm_squared(dense.f_v1h2)
+    _assert_spectra_match(state, dense, 1e-13 * scale)
+    np.testing.assert_allclose(
+        spectra(state).cross, support.direct_cross_spectrum(state), rtol=0.0, atol=1e-13 * scale
+    )
+    if zeros == "second amplitude":
+        assert not spectra(state).cross.any()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e170])
+def test_a_lopsided_factorization_gives_the_dense_spectra_or_names_the_overflow(scale):
+    # the amplitudes are those of the preset, their factors x * scale and
+    # y / scale; past about 1e160 the squares of x overflow
+    config = load_config("uncompensated_peak")
+    state = config.build_state(256)
+    lopsided = TwoPhotonState(*(
+        JointAmplitude(state.grid, factors=Factors(x * scale, y / scale, magnitude))
+        for x, y, magnitude in (state.f_h1v2.factors, state.f_v1h2.factors)
+    ))
+    dense = _densified(lopsided)
+    delays = config.scan.delays()
+    try:
+        spectra(lopsided)
+    except ValueError as error:
+        assert "x and y factors are scaled too far apart" in str(error)
+        with pytest.raises(ValueError, match="x and y factors"):
+            delay_scan(lopsided, delays)
+        with pytest.raises(ValueError, match="x and y factors"):
+            coincidence_probability(lopsided, 0.0)
+        assert scale == 1e170
+    else:
+        _assert_spectra_match(lopsided, dense, 1e-13)
+        rates = delay_scan(lopsided, delays).rates
+        assert np.all(np.isfinite(rates))
+        np.testing.assert_allclose(rates, delay_scan(dense, delays).rates, rtol=0.0, atol=1e-13)
+    assert np.all(np.isfinite(delay_scan(dense, delays).rates))
+
+
+def test_reductions_of_a_dense_state_allocate_about_one_amplitude():
+    # what remains is the copy of swap F2: the plus norms are summed over row
+    # blocks of F1 + F2, not over a summed N x N array
+    import tracemalloc
+
+    n_points = 1024
+    dense = _densified(load_config("uncompensated_peak").build_state(n_points))
+    tracemalloc.start()
+    try:
+        reductions(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 16 * n_points**2
 
 
 @pytest.mark.parametrize("name", ["uncompensated_peak", "bell_ideal", "two_color_path"])

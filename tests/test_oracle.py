@@ -532,6 +532,8 @@ def test_oracle_passes_allocate_under_a_quarter_of_an_amplitude(name):
         "norm_squared": lambda: norm_squared(f1),
         "inner_product": lambda: inner_product(f1, f2),
     }[name]
+    # the values are built on first read, before the traced pass
+    f1.values, f2.values
     tracemalloc.start()
     try:
         call()
