@@ -457,10 +457,10 @@ def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
     pass.  The discrete route sends each projection through the exact
     mode unitary; the quadrature route embeds it back on the grid and
     evaluates P_cc(0) = (n1 + n2)/4 - (1/2) Re <F1, F2> from three
-    quadratures.  Each delay costs O(N^2) and builds no N x N temporary
-    beyond the embedded state, which is freed before the next delay.  The
-    smallest captured norm of the three projections is printed, so a
-    check that only saw a small fraction of the state shows as such.
+    quadratures of its K x K block samples.  Each delay costs O(N^2), in
+    the projection, and builds no N x N temporary.  The smallest captured
+    norm of the three projections is printed, so a check that only saw a
+    small fraction of the state shows as such.
     """
     k_bins = args.bins
     if not 2 <= k_bins <= 32:

@@ -27,13 +27,17 @@ All integrals are 2D trapezoidal quadratures on the shared grid with the
 separable weight w_i w_j.  ``inner_product`` and ``norm_squared``, and the
 block integrands of ``spectra``, are the only code that reads how an
 amplitude is stored.  Of two amplitudes with 1D factors (``Factors``), as
-every builder returns, each quadrature is one 1D convolution; otherwise
-they sum w^T X w over row blocks of the N x N values, building no N x N
-temporary.  ``reductions`` (polarization, symmetry) is built from those
-two calls, so of a built state it makes no N^2 pass.  ``spectra`` (coincidence rates, coherence time) sums its two
-integrands over row blocks, each block formed from the 1D factors of two
-factored amplitudes and otherwise from the values scaled by
-sqrt(w_i w_j), so of a built state it forms no N x N array.  The state
+every builder returns, each quadrature is one 1D convolution; of two
+block-constant amplitudes with equal runs, as the oracle's ``reconstruct``
+returns, it sums omega^T X omega over row blocks of the K x K samples,
+omega the weights w summed over each run; otherwise they sum w^T X w over
+row blocks of the N x N values, building no N x N temporary.
+``reductions`` (polarization, symmetry) is built from those two calls, so
+of a built state it makes no N^2 pass.  ``spectra`` (coincidence rates,
+coherence time) sums its two integrands over row blocks, each block
+formed from the 1D factors of two factored amplitudes and otherwise from
+the values scaled by sqrt(w_i w_j), so of a built state it forms no N x N
+array.  The state
 normalization convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1,
 the 1/2 carrying the global prefactor of the two-term superposition.
 """
@@ -145,9 +149,10 @@ class Factors(NamedTuple):
 class JointAmplitude:
     """Complex amplitude F(omega, omega') sampled on a square grid.
 
-    Built either from dense ``values`` or from 1D ``factors``; values are
-    immutable after construction, and their squared norm (2D trapezoid of
-    |F|^2) must be finite.
+    Built from dense ``values``, from block-constant ``samples`` with
+    ``block_sizes``, or from 1D ``factors``; values are immutable after
+    construction, and their squared norm (2D trapezoid of |F|^2) must be
+    finite.
 
     The dense constructor takes ownership of a C-contiguous complex128
     array that owns its data: it stores that array without copying and
@@ -155,27 +160,52 @@ class JointAmplitude:
     caller took of it earlier stay writable).  Any other input (a view, a
     transpose, another dtype) is copied first.
 
+    A block-constant amplitude, ``JointAmplitude(grid, samples,
+    block_sizes=runs)``, keeps a finite K x K ``samples`` array, stored
+    like dense values, and K positive run lengths that sum to N: the grid
+    splits into K contiguous runs, the same on both axes, and
+    values[i, j] = samples[b(i), b(j)] with b(i) the run of point i.  It
+    builds the read-only N x N ``values`` on first read, by ``np.repeat``.
+    Dense values are the case of N runs of one point, which
+    ``block_sizes=None`` selects: their ``samples`` are the ``values``.
+
     A factored amplitude keeps its O(N) factors, which must be finite; it
     marks them read-only without copying them, like dense values.  It
     builds the read-only N x N ``values`` on first read, as
-    outer(x, y) * (outer(g, h) * hankel(p)).  ``inner_product``,
-    ``norm_squared``, ``swap``, ``normalize`` and ``spectra`` keep to the
-    factors, so ``classify``, ``chsh`` and the scans of a built state never
-    form an N x N array; ``bs_transform``, ``apply_path1_delay`` and the
-    oracle read ``values``.
+    outer(x, y) * (outer(g, h) * hankel(p)).
+
+    ``inner_product``, ``norm_squared``, ``swap`` and ``normalize`` keep
+    to the factors, or to the samples of two block-constant amplitudes
+    with equal runs, and ``spectra`` keeps to the factors.  So
+    ``classify``, ``chsh`` and the scans of a built state, and the
+    quadratures of the oracle's checked delays, form no N x N array;
+    ``bs_transform``, ``apply_path1_delay`` and the oracle's projection
+    read ``values``.
     """
 
     grid: FrequencyGrid
     dense: InitVar[np.ndarray | None] = None
     factors: Factors | None = None
+    block_sizes: np.ndarray | None = None
 
     def __post_init__(self, dense) -> None:
         n = self.grid.n_points
         if (dense is None) == (self.factors is None):
             raise ValueError("an amplitude takes either values or factors")
         if dense is not None:
-            self.__dict__["values"] = _frozen_values(dense, n)
+            if self.block_sizes is None:
+                samples = self.__dict__["values"] = _frozen_values(dense, n)
+            else:
+                runs = _frozen_runs(self.block_sizes, n)
+                k = runs.size
+                if np.shape(dense) != (k, k):
+                    raise ValueError(f"samples shape {np.shape(dense)} does not match {k} runs")
+                object.__setattr__(self, "block_sizes", runs)
+                samples = _frozen_values(dense, k)
+            self.__dict__["samples"] = samples
             return
+        if self.block_sizes is not None:
+            raise ValueError("block sizes go with samples, not with factors")
         vectors = (self.factors.x, self.factors.y, *(self.factors.magnitude or ()))
         for vector, size in zip(vectors, (n, n, n, n, 2 * n - 1)):
             if np.shape(vector) != (size,):
@@ -189,6 +219,11 @@ class JointAmplitude:
 
     @functools.cached_property
     def values(self) -> np.ndarray:
+        if self.block_sizes is not None:
+            runs = self.block_sizes
+            values = np.repeat(np.repeat(self.samples, runs, axis=0), runs, axis=1)
+            values.setflags(write=False)
+            return values
         x, y, magnitude = self.factors
         values = np.outer(x, y)
         if magnitude is not None:
@@ -200,14 +235,31 @@ class JointAmplitude:
 
     def swap(self) -> "JointAmplitude":
         """Exchange the two frequency arguments: swap(F)(w, w') = F(w', w).
-        Factors swap in O(N): x with y, and g with h."""
+        Samples are transposed, keeping their runs; factors swap in O(N),
+        x with y and g with h, taken over without checking them again."""
         if self.factors is None:
-            return JointAmplitude(self.grid, self.values.T.copy())
+            return JointAmplitude(self.grid, self.samples.T.copy(), block_sizes=self.block_sizes)
         x, y, magnitude = self.factors
         if magnitude is not None:
             g, h, p = magnitude
             magnitude = (h, g, p)
-        return JointAmplitude(self.grid, factors=Factors(y, x, magnitude))
+        swapped = object.__new__(JointAmplitude)
+        swapped.__dict__.update(grid=self.grid, factors=Factors(y, x, magnitude), block_sizes=None)
+        return swapped
+
+
+def _frozen_runs(block_sizes, n: int) -> np.ndarray:
+    """``block_sizes`` as a read-only 1D integer array of positive runs summing to n."""
+    runs = np.array(block_sizes)
+    if runs.ndim != 1 or runs.size == 0 or runs.dtype.kind not in "iu":
+        raise ValueError(f"block sizes must be a nonempty 1D integer array, got {block_sizes!r}")
+    if np.any(runs <= 0):
+        raise ValueError("block sizes must be positive")
+    total = int(runs.sum())
+    if total != n:
+        raise ValueError(f"block sizes sum to {total}, not to the {n} grid points")
+    runs.setflags(write=False)
+    return runs
 
 
 def _frozen_values(values, n: int) -> np.ndarray:
@@ -267,14 +319,34 @@ def _factored_vectors(grid: FrequencyGrid, a: Factors, b: Factors):
     A = (xa (x) ya) ma and B = (xb (x) yb) mb, m[i, j] = g_i h_j p_{i+j}:
     p = pa pb, u = w ga gb conj(xa) xb and v = w hb ha conj(ya) yb.  Taking
     hb before ha gives <F1, swap F2> the same column weight w g h as its
-    row weight, bit for bit."""
+    row weight, bit for bit.  Where u or v overflows, x and y enter
+    balanced instead (``_balanced``)."""
     w = grid.trapezoid_weights()
     ga, ha, pa = a.magnitude or (1.0, 1.0, 1.0)
     gb, hb, pb = b.magnitude or (1.0, 1.0, 1.0)
     # ones as an array: a broadcast view would round the final sums differently
     p = np.ones(2 * w.size - 1) if a.magnitude is b.magnitude is None else pa * pb
-    u = w * ga * gb * np.conj(a.x) * b.x
-    return p, u, w * hb * ha * np.conj(a.y) * b.y
+
+    def products(xa, ya, xb, yb):
+        return w * ga * gb * np.conj(xa) * xb, w * hb * ha * np.conj(ya) * yb
+
+    try:
+        with np.errstate(over="raise"):
+            return (p, *products(a.x, a.y, b.x, b.y))
+    except FloatingPointError:
+        return (p, *products(*_balanced(a), *_balanced(b)))
+
+
+def _balanced(f: Factors):
+    """(x 2^-e, y 2^e), e half the gap between the binary exponents of
+    max|x| and max|y|.  Scaling by powers of two is exact wherever no
+    product falls below the normal range, so the products x_i y_j keep
+    their bits, but x and y scaled far apart no longer overflow in |x|^2
+    or |y|^2 where |F|^2 does not.  Only the quadratures that overflow
+    pay for the two maxima."""
+    e = (math.frexp(abs(f.x).max())[1] - math.frexp(abs(f.y).max())[1]) // 2
+    e = min(max(e, -1022), 1022)  # 2^e and 2^-e are both normal floats
+    return f.x * math.ldexp(1.0, -e), f.y * math.ldexp(1.0, e)
 
 
 def _factored_inner(grid: FrequencyGrid, a: Factors, b: Factors) -> complex:
@@ -286,16 +358,17 @@ def inner_product(a: JointAmplitude, b: JointAmplitude) -> complex:
     """Trapezoidal quadrature of <a, b> = integral of conj(a) b dw dw', with
     the 1D trapezoid weights w of the shared grid: of two factored
     amplitudes one 1D convolution, else w^T (conj(a) b) w summed over row
-    blocks.  Amplitudes on different grids are rejected.
+    blocks (of the samples, for block-constant amplitudes with equal runs;
+    see ``_sampled``).  Amplitudes on different grids are rejected.
     """
     if a.grid != b.grid:
         raise ValueError("amplitudes live on different grids")
     if a.factors is not None and b.factors is not None:
         return _factored_inner(a.grid, a.factors, b.factors)
-    w = a.grid.trapezoid_weights()
+    x, y, w = _sampled(a, b)
     total = 0j
     for rows in _row_blocks(w.size):
-        total += w[rows] @ (np.conj(a.values[rows]) * b.values[rows]) @ w
+        total += w[rows] @ (np.conj(x[rows]) * y[rows]) @ w
     return complex(total)
 
 
@@ -306,12 +379,24 @@ def norm_squared(a: JointAmplitude) -> float:
     underflows adds exactly 0."""
     if a.factors is not None:
         return _factored_inner(a.grid, a.factors, a.factors).real
-    return _walked_norm(a.grid, lambda rows: a.values[rows])
+    x, _, w = _sampled(a, a)
+    return _walked_norm(w, lambda rows: x[rows])
 
 
-def _walked_norm(grid: FrequencyGrid, block) -> float:
+def _sampled(a: JointAmplitude, b: JointAmplitude):
+    """(X, Y, weights) with <a, b> = sum_ij weights_i weights_j conj(X) Y:
+    of two block-constant amplitudes with equal runs their K x K samples,
+    with the grid's trapezoid weights summed over each run, and otherwise
+    the N x N values, with the weights themselves."""
+    w = a.grid.trapezoid_weights()
+    runs = a.block_sizes
+    if runs is None or b.block_sizes is None or not np.array_equal(runs, b.block_sizes):
+        return a.values, b.values, w
+    return a.samples, b.samples, np.add.reduceat(w, np.cumsum(runs) - runs)
+
+
+def _walked_norm(w: np.ndarray, block) -> float:
     """sum_ij w_i w_j |X[i, j]|^2 of the X whose row block ``block(rows)`` gives."""
-    w = grid.trapezoid_weights()
     w_parts = np.repeat(w, 2)  # real and imaginary parts side by side
     total = 0.0
     for rows in _row_blocks(w.size):
@@ -353,7 +438,8 @@ class TwoPhotonState:
 
 def normalize(state: TwoPhotonState) -> TwoPhotonState:
     """Rescale both amplitudes so the combined norm is exactly one; a
-    factored amplitude keeps its factors, with x scaled.
+    factored amplitude keeps its factors, with x scaled, and any other
+    its runs, with the samples scaled.
 
     The zero state cannot be normalized and is rejected.
     """
@@ -364,7 +450,7 @@ def normalize(state: TwoPhotonState) -> TwoPhotonState:
 
     def scaled(amp: JointAmplitude) -> JointAmplitude:
         if amp.factors is None:
-            return JointAmplitude(state.grid, amp.values * scale)
+            return JointAmplitude(state.grid, amp.samples * scale, block_sizes=amp.block_sizes)
         return JointAmplitude(state.grid, factors=amp.factors._replace(x=amp.factors.x * scale))
 
     return TwoPhotonState(scaled(state.f_h1v2), scaled(state.f_v1h2))
@@ -427,12 +513,14 @@ def reductions(state: TwoPhotonState) -> StateReductions:
 
 def _plus_norm(a: JointAmplitude, b: JointAmplitude, expanded: float) -> float:
     """||a + b||^2, summed directly where exact negation can cancel it to 0:
-    over row blocks of dense values, or over the combined factor where a
-    and b share their magnitude and one vector bit for bit.  Otherwise
-    ``expanded``, the n_a + n_b + 2 Re <a, b> the caller has."""
+    over row blocks of values or samples (``_sampled``), or over the
+    combined factor where a and b share their magnitude and one vector bit
+    for bit.  Otherwise ``expanded``, the n_a + n_b + 2 Re <a, b> the
+    caller has."""
     fa, fb = a.factors, b.factors
     if fa is None or fb is None:
-        return _walked_norm(a.grid, lambda rows: a.values[rows] + b.values[rows])
+        x, y, w = _sampled(a, b)
+        return _walked_norm(w, lambda rows: x[rows] + y[rows])
     ma, mb = fa.magnitude, fb.magnitude
     if ma is mb or (ma is not None and mb is not None and all(map(np.array_equal, ma, mb))):
         if np.array_equal(fa.x, fb.x):
@@ -479,10 +567,7 @@ def spectra(state: TwoPhotonState) -> StateSpectra:
             for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
                 total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
     if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(intensity))):
-        raise ValueError(
-            "state spectra are not finite: w_i w_j |F|^2 overflows, or a factored "
-            "amplitude's x and y factors are scaled too far apart to be squared"
-        )
+        raise ValueError("state spectra are not finite: w_i w_j |F|^2 overflows")
     return StateSpectra(np.arange(1 - n, n) * step, cross, 0.5 * intensity, step)
 
 

@@ -13,8 +13,9 @@ sqrt(2) T[u, u] for a doubly occupied mode, and the total probability is
 the 2K x 2K path blocks of T with a 2 x 2 unitary and never forms the
 (4K)^2 mode unitary.  On an N-point grid the bin projection costs one
 pass of block sums over each amplitude, O(N^2) per delay with no N x N
-temporary (the delay a phase on K x N partial sums), the gather back on
-the grid O(N^2), the transform and the outcome sums O(K^2).
+temporary (the delay a phase on K x N partial sums); the embedding back
+on the grid keeps the K x K coefficients as block-constant amplitudes,
+and it, the transform and the outcome sums cost O(K^2).
 
 Everything here is written against that finite Fock space from scratch:
 bin aggregation and probability bookkeeping share no code with the
@@ -170,9 +171,11 @@ def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
     discretize(reconstruct(b), b.k_bins) returns b with captured norm 1.
     The result is the piecewise-constant continuum state the discrete
     vector actually represents, which makes analytic and discrete-mode
-    outcome probabilities directly comparable.  Only (1H, 2V) and
-    (1V, 2H) pairs have a place in a TwoPhotonState; a basis with
-    amplitude on any other pair is rejected.
+    outcome probabilities directly comparable.  Both amplitudes are
+    block-constant, their runs the bins' point counts and their samples
+    the rescaled K x K coefficients, so no N x N array is formed until
+    ``values`` is read.  Only (1H, 2V) and (1V, 2H) pairs have a place in
+    a TwoPhotonState; a basis with amplitude on any other pair is rejected.
     """
     if basis.paths != (1, 2):
         raise ValueError(f"only input bases on paths (1, 2) embed, got {basis.paths}")
@@ -193,10 +196,10 @@ def reconstruct(basis: DiscreteModeBasis, grid) -> TwoPhotonState:
     # photon's in c2.
     c1 = scale * sectors[_H1, :, _V2, :]
     c2 = scale * sectors[_V1, :, _H2, :].T
-    # np.take's result is C-contiguous and owns its data: JointAmplitude keeps it.
-    f1 = np.take(c1[:, bins], bins, axis=0)
-    f2 = np.take(c2[:, bins], bins, axis=0)
-    return TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
+    runs = np.bincount(bins)
+    return TwoPhotonState(
+        JointAmplitude(grid, c1, block_sizes=runs), JointAmplitude(grid, c2, block_sizes=runs)
+    )
 
 
 def apply_bs_exact(basis: DiscreteModeBasis) -> DiscreteModeBasis:

@@ -183,6 +183,8 @@ def test_factored_swap_keeps_its_factors_and_transposes_the_values(
     amp = JointAmplitude(grid, factors=Factors(x, y, magnitude))
     swapped = amp.swap()
     assert swapped.factors.x is y and swapped.factors.y is x
+    for vector in (swapped.factors.x, swapped.factors.y, *(swapped.factors.magnitude or ())):
+        assert not vector.flags.writeable
     if magnitude is None:
         assert swapped.factors.magnitude is None
     else:
@@ -196,6 +198,132 @@ def test_factored_swap_keeps_its_factors_and_transposes_the_values(
         # which moves the imaginary part by an ulp
         scale = np.abs(transposed).max()
         np.testing.assert_allclose(swapped.values, transposed, rtol=0.0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in list_presets()])
+def test_reductions_read_the_swap_as_the_checked_constructor_builds_it(name):
+    # swap() takes the factors over without checking them again; the swap
+    # built through the constructor gives the same path overlap, bit for bit
+    state = load_config(name).build_state(256)
+    x, y, magnitude = state.f_v1h2.factors
+    if magnitude is not None:
+        g, h, p = magnitude
+        magnitude = (h, g, p)
+    checked = JointAmplitude(state.grid, factors=Factors(y, x, magnitude))
+    assert reductions(state).path_overlap == inner_product(state.f_h1v2, checked)
+
+
+def _runs(rng, n_points):
+    """Random run lengths that split n_points into contiguous blocks."""
+    cuts = np.flatnonzero(rng.random(n_points - 1) < 0.4) + 1
+    return np.diff(np.concatenate(([0], cuts, [n_points])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_points=st.integers(min_value=2, max_value=40),
+)
+def test_block_constant_quadratures_match_their_values(seed, n_points):
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n_points)
+    runs = _runs(rng, n_points)
+    k = runs.size
+
+    def block_constant():
+        samples = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return JointAmplitude(grid, samples, block_sizes=runs)
+
+    a, b = block_constant(), block_constant()
+    dense_a, dense_b = JointAmplitude(grid, a.values), JointAmplitude(grid, b.values)
+    scale = norm_squared(dense_a) + norm_squared(dense_b)
+    assert abs(norm_squared(a) - norm_squared(dense_a)) <= 1e-13 * scale
+    assert abs(norm_squared(b) - norm_squared(dense_b)) <= 1e-13 * scale
+    assert abs(inner_product(a, b) - inner_product(dense_a, dense_b)) <= 1e-13 * scale
+    got = dataclasses.asdict(reductions(TwoPhotonState(a, b)))
+    walked = dataclasses.asdict(reductions(TwoPhotonState(dense_a, dense_b)))
+    for key in got:
+        assert abs(got[key] - walked[key]) <= 1e-13 * scale, key
+
+
+def test_block_constant_amplitudes_of_unit_runs_are_the_dense_ones_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 37
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n)
+    pair = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+    dense = TwoPhotonState(*(JointAmplitude(grid, v.copy()) for v in pair))
+    blocks = TwoPhotonState(*(JointAmplitude(grid, v.copy(), block_sizes=[1] * n) for v in pair))
+    assert dataclasses.asdict(reductions(blocks)) == dataclasses.asdict(reductions(dense))
+    assert blocks.norm_squared() == dense.norm_squared()
+    derived = (normalize(blocks).f_h1v2, blocks.f_v1h2.swap())
+    for got, expected in zip(derived, (normalize(dense).f_h1v2, dense.f_v1h2.swap())):
+        assert got.block_sizes is not None
+        assert got.values.tobytes() == expected.values.tobytes()
+
+
+def test_mixed_block_constant_pairs_take_the_values_route():
+    rng = np.random.default_rng(12)
+    n = 24
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n)
+
+    def block_constant(runs):
+        k = len(runs)
+        samples = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return JointAmplitude(grid, samples, block_sizes=runs)
+
+    a = block_constant([5, 3, 9, 7])
+    others = [
+        block_constant([6, 6, 6, 6]),
+        block_constant([5, 3, 9, 6, 1]),
+        JointAmplitude(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
+        JointAmplitude(grid, factors=Factors(rng.standard_normal(n), rng.standard_normal(n))),
+    ]
+    dense_a = JointAmplitude(grid, a.values)
+    for b in others:
+        dense_b = JointAmplitude(grid, b.values)
+        assert inner_product(a, b) == inner_product(dense_a, dense_b)
+        assert inner_product(b, a) == inner_product(dense_b, dense_a)
+        mixed = reductions(TwoPhotonState(a, b))
+        walked = reductions(TwoPhotonState(dense_a, dense_b))
+        assert mixed.plus_norm == walked.plus_norm
+        assert mixed.path_plus_norm == walked.path_plus_norm
+
+
+def test_block_constant_values_are_built_on_first_read_and_frozen():
+    grid = FrequencyGrid.centered(2.4e15, 5e13, 6)
+    samples = np.arange(9, dtype=np.float64).reshape(3, 3) + 0.5j
+    runs = np.array([1, 3, 2])
+    amp = JointAmplitude(grid, samples, block_sizes=runs)
+    # the runs are copied, the samples taken over like dense values
+    assert runs.flags.writeable and not amp.block_sizes.flags.writeable
+    assert amp.samples is samples and not samples.flags.writeable
+    swapped, scaled = amp.swap(), normalize(TwoPhotonState(amp, amp)).f_h1v2
+    for derived in (amp, swapped, scaled):
+        assert "values" not in derived.__dict__
+        np.testing.assert_array_equal(derived.block_sizes, runs)
+    values = amp.values
+    np.testing.assert_array_equal(values, np.repeat(np.repeat(samples, runs, axis=0), runs, axis=1))
+    assert values.flags.c_contiguous and values.flags.owndata and not values.flags.writeable
+    np.testing.assert_array_equal(swapped.values, values.T)
+    np.testing.assert_array_equal(scaled.samples, samples * (1.0 / math.sqrt(norm_squared(amp))))
+
+
+def test_block_constant_constructor_rejects_bad_runs_and_samples():
+    grid = FrequencyGrid.centered(2.4e15, 5e13, 6)
+    square = np.ones((3, 3), dtype=np.complex128)
+    for runs in ([1, 2, 2], [1, 2, 4], [0, 3, 3], [-1, 4, 3], [2.0, 2.0, 2.0], [[2, 2, 2]], []):
+        with pytest.raises(ValueError):
+            JointAmplitude(grid, square.copy(), block_sizes=runs)
+    for samples in (np.ones((3, 2)), np.ones((2, 2)), np.ones(3)):
+        with pytest.raises(ValueError, match="samples shape"):
+            JointAmplitude(grid, samples, block_sizes=[1, 2, 3])
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        samples = square.copy()
+        samples[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            JointAmplitude(grid, samples, block_sizes=[1, 2, 3])
+    with pytest.raises(ValueError):
+        JointAmplitude(grid, factors=Factors(np.ones(6), np.ones(6)), block_sizes=[3, 3])
 
 
 def test_inner_product_requires_matching_grids():
@@ -564,33 +692,40 @@ def test_factored_spectra_of_random_factors_match_the_dense_walk(seed, n_points,
         assert not spectra(state).cross.any()
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e170])
-def test_a_lopsided_factorization_gives_the_dense_spectra_or_names_the_overflow(scale):
-    # the amplitudes are those of the preset, their factors x * scale and
-    # y / scale; past about 1e160 the squares of x overflow
-    config = load_config("uncompensated_peak")
-    state = config.build_state(256)
-    lopsided = TwoPhotonState(*(
+def _lopsided(state: TwoPhotonState, scale: float) -> TwoPhotonState:
+    """The same amplitudes, with factors x * scale and y / scale."""
+    return TwoPhotonState(*(
         JointAmplitude(state.grid, factors=Factors(x * scale, y / scale, magnitude))
         for x, y, magnitude in (state.f_h1v2.factors, state.f_v1h2.factors)
     ))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e170])
+def test_a_lopsided_factorization_gives_the_dense_spectra(scale):
+    # past about 1e160 the squares of x overflow unless x and y are balanced
+    config = load_config("uncompensated_peak")
+    lopsided = _lopsided(config.build_state(256), scale)
     dense = _densified(lopsided)
     delays = config.scan.delays()
-    try:
-        spectra(lopsided)
-    except ValueError as error:
-        assert "x and y factors are scaled too far apart" in str(error)
-        with pytest.raises(ValueError, match="x and y factors"):
-            delay_scan(lopsided, delays)
-        with pytest.raises(ValueError, match="x and y factors"):
-            coincidence_probability(lopsided, 0.0)
-        assert scale == 1e170
-    else:
-        _assert_spectra_match(lopsided, dense, 1e-13)
-        rates = delay_scan(lopsided, delays).rates
-        assert np.all(np.isfinite(rates))
-        np.testing.assert_allclose(rates, delay_scan(dense, delays).rates, rtol=0.0, atol=1e-13)
-    assert np.all(np.isfinite(delay_scan(dense, delays).rates))
+    _assert_spectra_match(lopsided, dense, 1e-13)
+    rates = delay_scan(lopsided, delays).rates
+    assert np.all(np.isfinite(rates))
+    np.testing.assert_allclose(rates, delay_scan(dense, delays).rates, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170])
+def test_a_lopsided_factorization_classifies_like_the_balanced_one(scale):
+    # |x|^2 (or |y|^2) overflows in every quadrature unless x and y are
+    # balanced; the scaled factors round x and y, which moves residue digits
+    from biphoton import chsh, classify
+
+    state = load_config("uncompensated_peak").build_state(64)
+    lopsided = _lopsided(state, scale)
+    got, expected = dataclasses.asdict(classify(lopsided)), dataclasses.asdict(classify(state))
+    assert got.pop("label") == expected.pop("label")
+    for key, value in expected.items():
+        assert abs(got[key] - value) <= 1e-12, key
+    assert abs(chsh(lopsided) - chsh(state)) <= 1e-12
 
 
 def test_reductions_of_a_dense_state_allocate_about_one_amplitude():

@@ -497,6 +497,11 @@ def test_reconstruct_gathers_owned_contiguous_amplitudes(preset, n_points, k_bin
     basis = discretize(state, k_bins, delay=2.0 * coherence_time(state))
     embedded = reconstruct(basis, state.grid)
     expected = _repeat_embedding(basis, state.grid)
+    # the checked delay's quadratures read the K x K samples: no N x N array
+    _coincidence_at_zero_delay(embedded)
+    for amplitude in (embedded.f_h1v2, embedded.f_v1h2):
+        assert "values" not in amplitude.__dict__
+        assert amplitude.samples.shape == (k_bins, k_bins)
     for amplitude, reference in zip((embedded.f_h1v2, embedded.f_v1h2), expected):
         values = amplitude.values
         assert values.flags.c_contiguous and values.flags.owndata
@@ -519,7 +524,9 @@ def test_three_quadrature_coincidence_matches_the_spectra_route(preset, n_points
         assert abs(quadratures - coincidence_probability(embedded, 0.0)) <= 1e-14, delay
 
 
-@pytest.mark.parametrize("name", ["discretize", "norm_squared", "inner_product"])
+@pytest.mark.parametrize(
+    "name", ["discretize", "norm_squared", "inner_product", "reconstruct + three quadratures"]
+)
 def test_oracle_passes_allocate_under_a_quarter_of_an_amplitude(name):
     # each oracle-check delay runs these passes; an N x N temporary would
     # show in the benchmark's peak RSS
@@ -527,10 +534,14 @@ def test_oracle_passes_allocate_under_a_quarter_of_an_amplitude(name):
     state = _preset_state("uncompensated_peak", n_points)
     delay = 2.0 * coherence_time(state)
     f1, f2 = state.f_h1v2, state.f_v1h2
+    basis = discretize(state, 32, delay=delay)
     call = {
         "discretize": lambda: discretize(state, 32, delay=delay),
         "norm_squared": lambda: norm_squared(f1),
         "inner_product": lambda: inner_product(f1, f2),
+        "reconstruct + three quadratures": lambda: _coincidence_at_zero_delay(
+            reconstruct(basis, state.grid)
+        ),
     }[name]
     # the values are built on first read, before the traced pass
     f1.values, f2.values
