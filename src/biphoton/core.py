@@ -317,24 +317,17 @@ def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | com
 def _factored_vectors(grid: FrequencyGrid, a: Factors, b: Factors):
     """(p, u, v) with w_i w_j conj(A[i, j]) B[i, j] = u_i v_j p_{i+j}, for
     A = (xa (x) ya) ma and B = (xb (x) yb) mb, m[i, j] = g_i h_j p_{i+j}:
-    p = pa pb, u = w ga gb conj(xa) xb and v = w hb ha conj(ya) yb.  Taking
-    hb before ha gives <F1, swap F2> the same column weight w g h as its
-    row weight, bit for bit.  Where u or v overflows, x and y enter
-    balanced instead (``_balanced``)."""
+    p = pa pb, u = w ga gb conj(xa) xb and v = w hb ha conj(ya) yb, with x
+    and y balanced first (``_balanced``).  Taking hb before ha gives
+    <F1, swap F2> the same column weight w g h as its row weight, bit for
+    bit."""
     w = grid.trapezoid_weights()
     ga, ha, pa = a.magnitude or (1.0, 1.0, 1.0)
     gb, hb, pb = b.magnitude or (1.0, 1.0, 1.0)
     # ones as an array: a broadcast view would round the final sums differently
     p = np.ones(2 * w.size - 1) if a.magnitude is b.magnitude is None else pa * pb
-
-    def products(xa, ya, xb, yb):
-        return w * ga * gb * np.conj(xa) * xb, w * hb * ha * np.conj(ya) * yb
-
-    try:
-        with np.errstate(over="raise"):
-            return (p, *products(a.x, a.y, b.x, b.y))
-    except FloatingPointError:
-        return (p, *products(*_balanced(a), *_balanced(b)))
+    (xa, ya), (xb, yb) = _balanced(a), _balanced(b)
+    return p, w * ga * gb * np.conj(xa) * xb, w * hb * ha * np.conj(ya) * yb
 
 
 def _balanced(f: Factors):
@@ -342,8 +335,7 @@ def _balanced(f: Factors):
     max|x| and max|y|.  Scaling by powers of two is exact wherever no
     product falls below the normal range, so the products x_i y_j keep
     their bits, but x and y scaled far apart no longer overflow in |x|^2
-    or |y|^2 where |F|^2 does not.  Only the quadratures that overflow
-    pay for the two maxima."""
+    or |y|^2 where |F|^2 does not."""
     e = (math.frexp(abs(f.x).max())[1] - math.frexp(abs(f.y).max())[1]) // 2
     e = min(max(e, -1022), 1022)  # 2^e and 2^-e are both normal floats
     return f.x * math.ldexp(1.0, -e), f.y * math.ldexp(1.0, e)

@@ -728,6 +728,27 @@ def test_a_lopsided_factorization_classifies_like_the_balanced_one(scale):
     assert abs(chsh(lopsided) - chsh(state)) <= 1e-12
 
 
+@pytest.mark.parametrize("form", ["factored", "dense"])
+def test_spectra_that_overflow_are_refused(form):
+    # |F|^2 = 1e320 itself overflows, so no balancing of x and y helps
+    n = 64
+    grid = FrequencyGrid.centered(2.4e15, 5e13, n)
+    if form == "factored":
+        ones = np.full(n, 1e160 + 0j)
+        amp = JointAmplitude(grid, factors=Factors(ones, ones.copy()))
+    else:
+        amp = JointAmplitude(grid, np.full((n, n), 1e160 + 0j))
+    state = TwoPhotonState(amp, amp.swap())
+    match = r"spectra are not finite: w_i w_j \|F\|\^2 overflows"
+    for scan in (
+        lambda: spectra(state),
+        lambda: delay_scan(state, np.array([0.0, 1e-14])),
+        lambda: coincidence_probability(state, 0.0),
+    ):
+        with pytest.raises(ValueError, match=match):
+            scan()
+
+
 def test_reductions_of_a_dense_state_allocate_about_one_amplitude():
     # what remains is the copy of swap F2: the plus norms are summed over row
     # blocks of F1 + F2, not over a summed N x N array
