@@ -12,12 +12,15 @@ on input path 1, applied before the transform as a phase e^{i w delay} on
 whichever frequency factor rides in path 1 (w_H in the f_h1v2 term, w_V in
 the f_v1h2 term).  Positive delay retards path 1.
 
-The delay enters the coincidence rate only through the cross term, as
-e^{i (w_V - w_H) delay}, so rates and the coherence time are closed forms
-of one ``core.StateSpectra`` (sums along the diagonals w_V - w_H = k dw):
-one blocked N^2 pass per call, and one for a whole ``delay_scan``, which
-of a built state forms its blocks from the 1D factors, never the N x N
-values.  After it, K delays cost O(K sqrt(N)) exponentials, K (2N - 1)
+Every coincidence probability is one closed form, ``_coincidence``:
+P_cc = (n1 + n2)/4 - (1/2) mode_overlap Re <F1, F2> of the delayed pair.
+At one delay, ``coincidence_probability`` takes its three quadratures
+(of a built state three 1D convolutions).  The delay enters only through
+the cross term, as e^{i (w_V - w_H) delay}, so a ``delay_scan`` and the
+coherence time are closed forms of one ``core.StateSpectra`` (sums along
+the diagonals w_V - w_H = k dw): one blocked N^2 pass, which of a built
+state forms its blocks from the 1D factors, never the N x N values.
+After it, K delays cost O(K sqrt(N)) exponentials, K (2N - 1)
 multiply-adds and O(K sqrt(N)) memory.  The cross term is periodic in the
 delay with period 2 pi / dw: a delay beyond ``FrequencyGrid.alias_delay``
 = pi / dw gives the same rate as that delay shifted by 2 pi / dw back
@@ -55,12 +58,19 @@ def apply_path1_delay(state: TwoPhotonState, delay: float) -> TwoPhotonState:
     The path-1 photon is H in the first term (frequency w_H, the row
     index) and V in the second term (frequency w_V, the column index), so
     the phase e^{i w delay} multiplies rows of f_h1v2 and columns of
-    f_v1h2.
+    f_v1h2: of two factored amplitudes, x of f_h1v2 and y of f_v1h2, in
+    O(N), leaving ``values`` unbuilt.
     """
     if delay == 0.0:
         return state
     grid = state.grid
     phase = grid.phase(delay, "delay")
+    f1, f2 = state.f_h1v2.factors, state.f_v1h2.factors
+    if f1 is not None and f2 is not None:
+        return TwoPhotonState(
+            JointAmplitude(grid, factors=f1._replace(x=f1.x * phase)),
+            JointAmplitude(grid, factors=f2._replace(y=f2.y * phase)),
+        )
     return TwoPhotonState(
         JointAmplitude(grid, state.f_h1v2.values * phase[:, None]),
         JointAmplitude(grid, state.f_v1h2.values * phase[None, :]),
@@ -151,7 +161,8 @@ def coincidence_probability(
     """Probability of one photon in each output path.
 
     For perfect mode overlap this is the norm of the two coincidence
-    channels (n_k = ||F_k||^2), evaluated like ``delay_scan``:
+    channels (n_k = ||F_k||^2), from three quadratures, the norms of the
+    state and the overlap of ``apply_path1_delay(state, delay)``:
 
         P_cc = (1/4) integral |F1(delay) - F2(delay)|^2
              = (n1 + n2)/4 - (1/2) Re <F1(delay), F2(delay)>
@@ -160,8 +171,22 @@ def coincidence_probability(
     term; it models imperfect spatial overlap at the beamsplitter, which
     damps the peak or dip without moving the background.
     """
-    delays = _checked_delays([delay], mode_overlap, state.grid)
-    return float(_rates(spectra(state), delays, mode_overlap)[0])
+    _checked_delays([delay], mode_overlap, state.grid)
+    delayed = apply_path1_delay(state, delay)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
+        cross = inner_product(delayed.f_h1v2, delayed.f_v1h2)
+    return float(_coincidence(total, cross, mode_overlap))
+
+
+def _coincidence(total, cross, mode_overlap: float):
+    """P_cc = total/4 - (1/2) mode_overlap Re cross, total = n1 + n2 and cross
+    = <F1, F2> of the delayed pair, clamped to [0, 1] against double-precision
+    residue; a result that is not finite is refused."""
+    rate = 0.25 * total - 0.5 * mode_overlap * np.real(cross)
+    if not np.all(np.isfinite(rate)):
+        raise ValueError("coincidence probability is not finite: w_i w_j |F|^2 overflows")
+    return np.clip(rate, 0.0, 1.0)
 
 
 def _rates(spec: StateSpectra, delays: np.ndarray, mode_overlap: float) -> np.ndarray:
@@ -177,9 +202,9 @@ def _rates(spec: StateSpectra, delays: np.ndarray, mode_overlap: float) -> np.nd
     phases = np.einsum("j,i->ji", 1j * delays, index * spec.step + 0j)
     np.exp(phases, out=phases)
     partial = np.einsum("ja,ab->jb", phases[:, :height], table)
-    cross = np.einsum("jb,jb->j", partial, phases[:, height:]).real
-    # Clamp double-precision residue just outside [0, 1].
-    return np.clip(0.5 * float(np.sum(spec.intensity)) - 0.5 * mode_overlap * cross, 0.0, 1.0)
+    cross = np.einsum("jb,jb->j", partial, phases[:, height:])
+    # n1 + n2 = 2 sum_k I_k; 0.25 (2 x) is 0.5 x exactly
+    return _coincidence(2.0 * float(np.sum(spec.intensity)), cross, mode_overlap)
 
 
 def coherence_time(state: TwoPhotonState) -> float:
@@ -243,9 +268,10 @@ def delay_scan(state: TwoPhotonState, delays, *, mode_overlap: float = 1.0) -> D
 
         P_cc(tau) = (1/2) sum_k I_k - (1/2) mode_overlap Re sum_k c_k e^{i k dw tau}
 
-    One spectra pass gives the coherence time and every rate, each equal
-    bit for bit to ``coincidence_probability`` at that delay; the K rates
-    add O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds, O(K sqrt(N)) memory.
+    One spectra pass gives the coherence time and every rate; the K rates
+    add O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds, O(K sqrt(N))
+    memory.  Each rate is ``coincidence_probability``'s closed form at that
+    delay, with the quadratures summed in another order.
     """
     axis = _checked_delays(delays, mode_overlap, state.grid)
     if axis.ndim != 1 or axis.size < 2:

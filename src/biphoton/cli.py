@@ -25,13 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamsplitter import coherence_time, delay_scan
+from .beamsplitter import coherence_time, coincidence_probability, delay_scan
 from .core import (
     FrequencyGrid,
     InvariantError,
     TwoPhotonState,
-    inner_product,
-    norm_squared,
     wavelength_to_angular_frequency,
 )
 from .correlation import DEFAULT_CHSH_ANGLES, chsh
@@ -442,12 +440,6 @@ def run_chsh(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _coincidence_at_zero_delay(state: TwoPhotonState) -> float:
-    """P_cc(0) = (n1 + n2)/4 - (1/2) Re <F1, F2>: three quadratures."""
-    f1, f2 = state.f_h1v2, state.f_v1h2
-    return 0.25 * (norm_squared(f1) + norm_squared(f2)) - 0.5 * inner_product(f1, f2).real
-
-
 def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
     """Compare quadrature and discrete-mode coincidence probabilities.
 
@@ -456,7 +448,7 @@ def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
     the coherence time, which takes the command's one ``StateSpectra``
     pass.  The discrete route sends each projection through the exact
     mode unitary; the quadrature route embeds it back on the grid and
-    evaluates P_cc(0) = (n1 + n2)/4 - (1/2) Re <F1, F2> from three
+    takes ``coincidence_probability`` of it at zero delay, three
     quadratures of its K x K block samples.  Each delay costs O(N^2), in
     the projection, and builds no N x N temporary.  The smallest captured
     norm of the three projections is printed, so a check that only saw a
@@ -479,7 +471,7 @@ def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
             max_unitarity_defect, abs(transformed.total_probability() - 1.0)
         )
         p_oracle = outcome_probabilities(transformed)["coincidence"]
-        p_analytic = _coincidence_at_zero_delay(reconstruct(basis, grid))
+        p_analytic = coincidence_probability(reconstruct(basis, grid))
         deviation = abs(p_oracle - p_analytic) / max(abs(p_oracle), abs(p_analytic), 1e-6)
         max_deviation = max(max_deviation, deviation)
     print(f"k_bins = {k_bins}")

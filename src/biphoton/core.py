@@ -176,11 +176,11 @@ class JointAmplitude:
 
     ``inner_product``, ``norm_squared``, ``swap`` and ``normalize`` keep
     to the factors, or to the samples of two block-constant amplitudes
-    with equal runs, and ``spectra`` keeps to the factors.  So
-    ``classify``, ``chsh`` and the scans of a built state, and the
-    quadratures of the oracle's checked delays, form no N x N array;
-    ``bs_transform``, ``apply_path1_delay`` and the oracle's projection
-    read ``values``.
+    with equal runs, and ``spectra`` and ``apply_path1_delay`` keep to the
+    factors.  So ``classify``, ``chsh``, the scans and the single-delay
+    coincidence probabilities of a built state, and the quadratures of
+    the oracle's checked delays, form no N x N array; ``bs_transform``
+    and the oracle's projection read ``values``.
     """
 
     grid: FrequencyGrid
@@ -281,9 +281,14 @@ def _frozen_values(values, n: int) -> np.ndarray:
 _BLOCK_ENTRIES = 8192
 
 
+def _block_height(n: int) -> int:
+    """Rows per block of an N x N array: at most _BLOCK_ENTRIES entries, at most N rows."""
+    return min(n, max(1, _BLOCK_ENTRIES // n))
+
+
 def _row_blocks(n: int) -> list[slice]:
     """Row slices of an N x N array, each block at most _BLOCK_ENTRIES entries."""
-    height = max(1, _BLOCK_ENTRIES // n)
+    height = _block_height(n)
     return [slice(start, start + height) for start in range(0, n, height)]
 
 
@@ -543,18 +548,23 @@ def spectra(state: TwoPhotonState) -> StateSpectra:
 
     Only the block integrands depend on how the amplitudes are stored: of
     two factored amplitudes they come from the factors, so the N x N
-    ``values`` are never formed.  Spectra that overflow are refused.
+    ``values`` are never formed.  Spectra that overflow are refused.  The
+    block buffers are allocated once per call, so that whether a block
+    page-faults does not depend on the allocator's history.
     """
     n, step = state.grid.n_points, state.grid.step
     cross, intensity = np.zeros(2 * n - 1, dtype=np.complex128), np.zeros(2 * n - 1)
     factored = state.f_h1v2.factors is not None and state.f_v1h2.factors is not None
+    height = _block_height(n)
+    size = height * (n + height)
+    buffers = np.empty(size, dtype=np.complex128), np.empty(size)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         fill = (_factored_integrands if factored else _dense_integrands)(state)
         for rows in _row_blocks(n):
             r = min(rows.stop, n) - rows.start
             lo, width = n - r - rows.start, n + r - 1
-            skew_intensity = np.zeros((r, n + r))
-            skew_cross = np.zeros((r, n + r), dtype=np.complex128)
+            skew_cross, skew_intensity = (b[: r * (n + r)].reshape(r, n + r) for b in buffers)
+            skew_cross[:, n:] = skew_intensity[:, n:] = 0.0
             fill(rows, skew_cross[::-1, :n], skew_intensity[::-1, :n])
             for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
                 total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
@@ -589,11 +599,15 @@ def _factored_integrands(state: TwoPhotonState):
     (p1, u1, v1), (p2, u2, v2) = (_factored_vectors(grid, f, f) for f in (f1, f2))
     p, p1, p2 = hankel(p), hankel(p1), hankel(p2)
     u1, v1, u2, v2 = u1.real, v1.real, u2.real, v2.real
+    shape = (_block_height(grid.n_points), grid.n_points)
+    outer, outer1, outer2 = np.empty(shape, np.complex128), np.empty(shape), np.empty(shape)
 
     def fill(rows: slice, cross: np.ndarray, intensity: np.ndarray) -> None:
         # the outputs are strided views: each is written once, from contiguous terms
-        np.multiply(np.multiply.outer(u[rows], v), p[rows], out=cross)
-        term1, term2 = np.multiply.outer(u1[rows], v1), np.multiply.outer(u2[rows], v2)
+        r = cross.shape[0]
+        np.multiply(np.multiply.outer(u[rows], v, out=outer[:r]), p[rows], out=cross)
+        term1 = np.multiply.outer(u1[rows], v1, out=outer1[:r])
+        term2 = np.multiply.outer(u2[rows], v2, out=outer2[:r])
         term1 *= p1[rows]
         term2 *= p2[rows]
         np.add(term1, term2, out=intensity)

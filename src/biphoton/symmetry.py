@@ -13,7 +13,7 @@ F1 = f_h1v2 and F2 = f_v1h2:
 
     as_residual = (1/4) ||F1 + F2||^2
     bell_residual = (1/2) ||F1 + swap F2||^2
-    P_cc(0) = (n1 + n2)/4 - (1/2) Re<F1, F2>
+    P_cc(0) = (n1 + n2)/4 - (1/2) Re<F1, F2>    (``beamsplitter``'s closed form)
 
 and ``classify`` builds its whole report, CHSH S and the 45-degree
 visibility included, from one reductions pass over the grid.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .beamsplitter import _coincidence
 from .core import StateReductions, TwoPhotonState, reductions
 from .correlation import DEFAULT_CHSH_ANGLES, _chsh, _visibility_45
 
@@ -110,13 +111,11 @@ def classify(
     if not (0.0 < threshold < 1.0) or not math.isfinite(threshold):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     red, r_as, r_bell = _residuals(state)
-    coincidence = 0.25 * (red.n1 + red.n2) - 0.5 * red.overlap.real
     return SymmetryReport(
         as_residual=r_as,
         bell_residual=r_bell,
         label=_LABELS[(r_as < threshold, r_bell < threshold)],
-        # Clamp double-precision residue just outside [0, 1].
-        coincidence_at_zero_delay=min(max(coincidence, 0.0), 1.0),
+        coincidence_at_zero_delay=float(_coincidence(red.n1 + red.n2, red.overlap, 1.0)),
         chsh_value=_chsh(red, chsh_angles),
         basis45_visibility=_visibility_45(red),
     )

@@ -204,6 +204,34 @@ def test_apply_path1_delay_phases_the_correct_axes():
     assert apply_path1_delay(state, 0.0) is state
 
 
+def test_apply_path1_delay_of_a_built_state_keeps_its_factors():
+    state = load_config("uncompensated_peak").build_state(256)
+    tau = 2.0 * coherence_time(state)
+    delayed = apply_path1_delay(state, tau)
+    for amplitude in (delayed.f_h1v2, delayed.f_v1h2):
+        assert amplitude.factors is not None
+        assert "values" not in amplitude.__dict__
+    phase = np.exp(1j * state.grid.points() * tau)
+    dense = (state.f_h1v2.values * phase[:, None], state.f_v1h2.values * phase[None, :])
+    for amplitude, reference in zip((delayed.f_h1v2, delayed.f_v1h2), dense):
+        scale = float(np.max(np.abs(reference)))
+        assert float(np.max(np.abs(amplitude.values - reference))) <= 1e-15 * scale
+
+
+def test_coincidence_probability_takes_no_spectra_pass(minus_state, monkeypatch):
+    import biphoton.beamsplitter as beamsplitter_module
+
+    state, _ = minus_state
+    delay = 2.0 * coherence_time(state)
+    expected = coincidence_probability(state, delay, mode_overlap=0.75)
+
+    def refused(*_):
+        raise AssertionError("spectra pass")
+
+    monkeypatch.setattr(beamsplitter_module, "spectra", refused)
+    assert coincidence_probability(state, delay, mode_overlap=0.75) == expected
+
+
 def test_coherence_time_matches_closed_form(minus_state):
     state, p = minus_state
     expected = support.type2_coherence_time(p.sigma_h, p.sigma_v, p.pump_sigma)
@@ -255,8 +283,8 @@ def test_delay_scan_visibility_tracks_mode_overlap(minus_state):
 
 
 def _assert_scan_matches_direct_rates(state, axis, mode_overlap):
-    # the closed-form scan against one direct N^2 pass per delay, and bit
-    # for bit against the library's single-delay rate
+    # the closed-form scan and the library's single-delay rate (three
+    # quadratures) against one direct N^2 pass per delay
     curve = delay_scan(state, axis, mode_overlap=mode_overlap)
     direct = [
         support.direct_coincidence_probability(state, float(d), mode_overlap)
@@ -267,7 +295,7 @@ def _assert_scan_matches_direct_rates(state, axis, mode_overlap):
     single = [
         coincidence_probability(state, float(d), mode_overlap=mode_overlap) for d in sample
     ]
-    np.testing.assert_array_equal(curve.rates[::10], single)
+    np.testing.assert_allclose(single, direct[::10], rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n_points", [64, 256])
@@ -518,5 +546,6 @@ def test_scan_rates_do_not_depend_on_the_batch(n_points):
     whole = _rates(spec, delays, 0.75)
     halves = np.concatenate([_rates(spec, delays[:20], 0.75), _rates(spec, delays[20:], 0.75)])
     single = [coincidence_probability(state, float(d), mode_overlap=0.75) for d in delays]
+    direct = [support.direct_coincidence_probability(state, float(d), 0.75) for d in delays]
     np.testing.assert_array_equal(whole, halves)
-    np.testing.assert_array_equal(whole, single)
+    np.testing.assert_allclose(single, direct, rtol=0.0, atol=1e-15)

@@ -573,6 +573,21 @@ def test_oracle_check_reports_invariant_failure(monkeypatch, capsys):
     assert "result = FAIL" in out_text
 
 
+def test_oracle_check_checks_the_library_coincidence_probability(monkeypatch, capsys):
+    # a sign error in the one closed form of P_cc must fail the oracle
+    import biphoton.beamsplitter as beamsplitter_module
+
+    real = beamsplitter_module._coincidence
+
+    def flipped(total, cross, mode_overlap):
+        return real(total, -cross, mode_overlap)
+
+    monkeypatch.setattr(beamsplitter_module, "_coincidence", flipped)
+    code = main(["oracle-check", "--config", "uncompensated_peak"])
+    assert code == EXIT_INVARIANT
+    assert "result = FAIL" in capsys.readouterr().out
+
+
 def test_config_errors_exit_2_with_diagnostics(tmp_path, capsys):
     raw = _valid_config()
     del raw["grid"]["center_wavelength_nm"]

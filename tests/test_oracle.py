@@ -33,7 +33,9 @@ from biphoton import (
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
-from biphoton.cli import _coincidence_at_zero_delay, load_config
+from biphoton.beamsplitter import _rates
+from biphoton.cli import load_config
+from biphoton.core import spectra
 from support import Mode
 
 CENTER = wavelength_to_angular_frequency(780e-9)
@@ -498,7 +500,7 @@ def test_reconstruct_gathers_owned_contiguous_amplitudes(preset, n_points, k_bin
     embedded = reconstruct(basis, state.grid)
     expected = _repeat_embedding(basis, state.grid)
     # the checked delay's quadratures read the K x K samples: no N x N array
-    _coincidence_at_zero_delay(embedded)
+    coincidence_probability(embedded)
     for amplitude in (embedded.f_h1v2, embedded.f_v1h2):
         assert "values" not in amplitude.__dict__
         assert amplitude.samples.shape == (k_bins, k_bins)
@@ -515,13 +517,14 @@ def test_reconstruct_gathers_owned_contiguous_amplitudes(preset, n_points, k_bin
 @pytest.mark.parametrize("k_bins", [8, 32])
 def test_three_quadrature_coincidence_matches_the_spectra_route(preset, n_points, k_bins):
     # oracle-check takes P_cc(0) of each embedded projection from three
-    # quadratures; the scan route's coincidence_probability must agree.
+    # quadratures; the scan route's rate from one spectra pass must agree.
     state = _preset_state(preset, n_points)
     tau_c = coherence_time(state)
     for delay in (0.0, 2.0 * tau_c, -5.0 * tau_c):
         embedded = reconstruct(discretize(state, k_bins, delay=delay), state.grid)
-        quadratures = _coincidence_at_zero_delay(embedded)
-        assert abs(quadratures - coincidence_probability(embedded, 0.0)) <= 1e-14, delay
+        quadratures = coincidence_probability(embedded)
+        scanned = _rates(spectra(embedded), np.array([0.0]), 1.0)[0]
+        assert abs(quadratures - scanned) <= 1e-14, delay
 
 
 @pytest.mark.parametrize(
@@ -539,7 +542,7 @@ def test_oracle_passes_allocate_under_a_quarter_of_an_amplitude(name):
         "discretize": lambda: discretize(state, 32, delay=delay),
         "norm_squared": lambda: norm_squared(f1),
         "inner_product": lambda: inner_product(f1, f2),
-        "reconstruct + three quadratures": lambda: _coincidence_at_zero_delay(
+        "reconstruct + three quadratures": lambda: coincidence_probability(
             reconstruct(basis, state.grid)
         ),
     }[name]

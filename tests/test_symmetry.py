@@ -28,6 +28,7 @@ from biphoton import (
     normalize,
     type2_joint_envelope,
 )
+from biphoton.cli import list_presets, load_config
 
 CENTER = 2.0 * math.pi * support.SPEED_OF_LIGHT / 780e-9
 
@@ -177,3 +178,11 @@ def test_symmetry_report_rejects_unknown_labels():
             chsh_value=2.0,
             basis45_visibility=1.0,
         )
+
+
+@pytest.mark.parametrize("n_points", [64, 256, 512])
+@pytest.mark.parametrize("preset", [name for name, _ in list_presets()])
+def test_classify_reports_the_library_coincidence_probability(preset, n_points):
+    # both take P_cc(0) from the same quadratures and the same closed form
+    state = load_config(preset).build_state(n_points)
+    assert classify(state).coincidence_at_zero_delay == coincidence_probability(state, 0.0)
