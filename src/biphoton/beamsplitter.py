@@ -16,12 +16,14 @@ Every coincidence probability is one closed form, ``_coincidence``:
 P_cc = (n1 + n2)/4 - (1/2) mode_overlap Re <F1, F2> of the delayed pair.
 At one delay, ``coincidence_probability`` takes its three quadratures
 (of a built state three 1D convolutions).  The delay enters only through
-the cross term, as e^{i (w_V - w_H) delay}, so a ``delay_scan`` and the
-coherence time are closed forms of one ``core.StateSpectra`` (sums along
-the diagonals w_V - w_H = k dw): one blocked N^2 pass, which of a built
-state forms its blocks from the 1D factors, never the N x N values.
-After it, K delays cost O(K sqrt(N)) exponentials, K (2N - 1)
-multiply-adds and O(K sqrt(N)) memory.  The cross term is periodic in the
+the cross term, as e^{i (w_V - w_H) delay}, so a ``delay_scan`` takes it
+from the cross spectrum of ``core.spectra`` (sums along the diagonals
+w_V - w_H = k dw): one blocked N^2 pass, which of a built state forms its
+blocks from the 1D factors, never the N x N values.  After it, K delays
+cost O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds and O(K sqrt(N))
+memory.  The coherence time, the width of that feature, is a closed form
+of three intensity moments (``core.intensity_moments``), which of a built
+state are 1D convolutions, no N^2 pass.  The cross term is periodic in the
 delay with period 2 pi / dw: a delay beyond ``FrequencyGrid.alias_delay``
 = pi / dw gives the same rate as that delay shifted by 2 pi / dw back
 towards zero.
@@ -37,9 +39,9 @@ import numpy as np
 from .core import (
     FrequencyGrid,
     JointAmplitude,
-    StateSpectra,
     TwoPhotonState,
     inner_product,
+    intensity_moments,
     norm_squared,
     spectra,
 )
@@ -189,22 +191,25 @@ def _coincidence(total, cross, mode_overlap: float):
     return np.clip(rate, 0.0, 1.0)
 
 
-def _rates(spec: StateSpectra, delays: np.ndarray, mode_overlap: float) -> np.ndarray:
+def _rates(state: TwoPhotonState, delays: np.ndarray, mode_overlap: float) -> np.ndarray:
+    # the cross spectrum c_k of ``spectra``, phased at each delay and summed.
     # m = k + N - 1 = a B + b with B = ceil(sqrt(2N - 1)), so e^{i k dw tau} is an outer
     # phase (columns :A) times an inner one (A:), each tau times an exact integer multiple
     # of dw.  einsum, not BLAS or a broadcast product (128 KiB buffer), keeps each delay's
     # sums independent of K and the memory at the K x (A + B) table.
-    m = spec.cross.size
+    c = spectra(state)
+    m = c.size
     width = math.isqrt(m - 1) + 1
     height = -(-m // width)
-    table = np.pad(spec.cross, (0, height * width - m)).reshape(height, width)
+    table = np.pad(c, (0, height * width - m)).reshape(height, width)
     index = np.concatenate([np.arange(height) * width - m // 2, np.arange(width)])
-    phases = np.einsum("j,i->ji", 1j * delays, index * spec.step + 0j)
+    phases = np.einsum("j,i->ji", 1j * delays, index * state.grid.step + 0j)
     np.exp(phases, out=phases)
     partial = np.einsum("ja,ab->jb", phases[:, :height], table)
     cross = np.einsum("jb,jb->j", partial, phases[:, height:])
-    # n1 + n2 = 2 sum_k I_k; 0.25 (2 x) is 0.5 x exactly
-    return _coincidence(2.0 * float(np.sum(spec.intensity)), cross, mode_overlap)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused by _coincidence
+        total = norm_squared(state.f_h1v2) + norm_squared(state.f_v1h2)
+    return _coincidence(total, cross, mode_overlap)
 
 
 def coherence_time(state: TwoPhotonState) -> float:
@@ -212,18 +217,20 @@ def coherence_time(state: TwoPhotonState) -> float:
 
     The delay enters the coincidence rate only through v = w_V - w_H, so
     the feature width is the inverse RMS spread of v under the intensity
-    (|f_h1v2|^2 + |f_v1h2|^2)/2: the moments of I_k over v = k dw.
+    (|f_h1v2|^2 + |f_v1h2|^2)/2, from the ``core.intensity_moments`` of the
+    two amplitudes: of a built state twelve 1D convolutions, no N^2 pass.
+    A variance within the rounding of the second moment counts as zero.
     """
-    return _coherence_time(spectra(state))
-
-
-def _coherence_time(spec: StateSpectra) -> float:
-    total = float(np.sum(spec.intensity))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        moments = intensity_moments(state.f_h1v2) + intensity_moments(state.f_v1h2)
+    if not np.all(np.isfinite(moments)):
+        raise ValueError("state spectra are not finite: w_i w_j |F|^2 overflows")
+    total, first, second, rounding = map(float, moments)
     if total <= 0.0:
         raise ValueError("state has zero norm, coherence time undefined")
-    mean = float(np.sum(spec.intensity * spec.offsets)) / total
-    var = float(np.sum(spec.intensity * (spec.offsets - mean) ** 2)) / total
-    if var <= 0.0:
+    mean = first / total
+    var = second / total - mean * mean
+    if var <= 16.0 * np.finfo(float).eps * rounding / total:
         raise ValueError("frequency-difference spread is zero, coherence time undefined")
     return 1.0 / math.sqrt(var)
 
@@ -264,27 +271,27 @@ def delay_scan(state: TwoPhotonState, delays, *, mode_overlap: float = 1.0) -> D
     ascending delay order.
 
     A path-1 delay tau multiplies conj(F1) F2 by e^{i (w_V - w_H) tau}, so
-    with c_k and I_k of ``core.StateSpectra`` and dw the grid step,
+    with c_k of ``core.spectra``, n_k = ||F_k||^2 and dw the grid step,
 
-        P_cc(tau) = (1/2) sum_k I_k - (1/2) mode_overlap Re sum_k c_k e^{i k dw tau}
+        P_cc(tau) = (n1 + n2)/4 - (1/2) mode_overlap Re sum_k c_k e^{i k dw tau}
 
-    One spectra pass gives the coherence time and every rate; the K rates
-    add O(K sqrt(N)) exponentials, K (2N - 1) multiply-adds, O(K sqrt(N))
-    memory.  Each rate is ``coincidence_probability``'s closed form at that
-    delay, with the quadratures summed in another order.
+    The span is checked first, from ``coherence_time``; then one spectra
+    pass gives every rate, and the K rates add O(K sqrt(N)) exponentials,
+    K (2N - 1) multiply-adds, O(K sqrt(N)) memory.  Each rate is
+    ``coincidence_probability``'s closed form at that delay, with the
+    cross quadrature summed in another order.
     """
     axis = _checked_delays(delays, mode_overlap, state.grid)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError("delays must be a 1D sequence with at least 2 entries")
-    spec = spectra(state)
-    span_needed = 10.0 * _coherence_time(spec)
+    span_needed = 10.0 * coherence_time(state)
     if axis.min() > -span_needed or axis.max() < span_needed:
         raise ValueError(
             "delay span must reach +-10 coherence times "
             f"(+-{span_needed:.3e} s); got [{axis.min():.3e}, {axis.max():.3e}] s"
         )
     axis = np.sort(axis)
-    rates = _rates(spec, axis, mode_overlap)
+    rates = _rates(state, axis, mode_overlap)
     n_edge = max(1, int(round(0.05 * axis.size)))
     background = float(np.mean(np.concatenate([rates[:n_edge], rates[-n_edge:]])))
     if background <= 0.0:

@@ -445,10 +445,10 @@ def run_oracle_check(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
     The configured state is projected onto ``--bins`` flat frequency bins,
     path 1 retarded by each checked delay: zero and two delays of order
-    the coherence time, which takes the command's one ``StateSpectra``
-    pass.  The discrete route sends each projection through the exact
-    mode unitary; the quadrature route embeds it back on the grid and
-    takes ``coincidence_probability`` of it at zero delay, three
+    the coherence time, which takes 1D convolutions of the factors and no
+    ``spectra`` pass.  The discrete route sends each projection through
+    the exact mode unitary; the quadrature route embeds it back on the
+    grid and takes ``coincidence_probability`` of it at zero delay, three
     quadratures of its K x K block samples.  Each delay costs O(N^2), in
     the projection, and builds no N x N temporary.  The smallest captured
     norm of the three projections is printed, so a check that only saw a

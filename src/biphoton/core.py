@@ -24,22 +24,23 @@ read
 where ``swap`` transposes the two frequency arguments.
 
 All integrals are 2D trapezoidal quadratures on the shared grid with the
-separable weight w_i w_j.  ``inner_product`` and ``norm_squared``, and the
-block integrands of ``spectra``, are the only code that reads how an
-amplitude is stored.  Of two amplitudes with 1D factors (``Factors``), as
-every builder returns, each quadrature is one 1D convolution; of two
-block-constant amplitudes with equal runs, as the oracle's ``reconstruct``
-returns, it sums omega^T X omega over row blocks of the K x K samples,
-omega the weights w summed over each run; otherwise they sum w^T X w over
-row blocks of the N x N values, building no N x N temporary.
-``reductions`` (polarization, symmetry) is built from those two calls, so
-of a built state it makes no N^2 pass.  ``spectra`` (coincidence rates,
-coherence time) sums its two integrands over row blocks, each block
-formed from the 1D factors of two factored amplitudes and otherwise from
-the values scaled by sqrt(w_i w_j), so of a built state it forms no N x N
-array.  The state
-normalization convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1,
-the 1/2 carrying the global prefactor of the two-term superposition.
+separable weight w_i w_j.  ``inner_product``, ``norm_squared`` and
+``intensity_moments``, and the block integrand of ``spectra``, are the
+only code that reads how an amplitude is stored.  Of two amplitudes with
+1D factors (``Factors``), as every builder returns, each quadrature is one
+1D convolution (the moments are six); of two block-constant amplitudes
+with equal runs, as the oracle's ``reconstruct`` returns, it sums
+omega^T X omega over row blocks of the K x K samples, omega the weights w
+summed over each run; otherwise they sum w^T X w over row blocks of the
+N x N values, building no N x N temporary.  ``reductions`` (polarization,
+symmetry) is built from the first two, so of a built state it makes no
+N^2 pass, and neither do the moments (coherence time).  ``spectra`` (the
+cross term of the coincidence rates) sums its one integrand over row
+blocks, each block formed from the 1D factors of two factored amplitudes
+and otherwise from the values scaled by sqrt(w_i w_j), so of a built
+state it forms no N x N array.  The state normalization convention is
+(1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the 1/2 carrying the global
+prefactor of the two-term superposition.
 """
 
 from __future__ import annotations
@@ -174,13 +175,14 @@ class JointAmplitude:
     builds the read-only N x N ``values`` on first read, as
     outer(x, y) * (outer(g, h) * hankel(p)).
 
-    ``inner_product``, ``norm_squared``, ``swap`` and ``normalize`` keep
-    to the factors, or to the samples of two block-constant amplitudes
-    with equal runs, and ``spectra`` and ``apply_path1_delay`` keep to the
-    factors.  So ``classify``, ``chsh``, the scans and the single-delay
-    coincidence probabilities of a built state, and the quadratures of
-    the oracle's checked delays, form no N x N array; ``bs_transform``
-    and the oracle's projection read ``values``.
+    ``inner_product``, ``norm_squared``, ``intensity_moments``, ``swap``
+    and ``normalize`` keep to the factors, or to the samples of a
+    block-constant amplitude (of two with equal runs), and ``spectra`` and
+    ``apply_path1_delay`` keep to the factors.  So ``classify``, ``chsh``,
+    the scans, the coherence time and the single-delay coincidence
+    probabilities of a built state, and the quadratures of the oracle's
+    checked delays, form no N x N array; ``bs_transform`` and the oracle's
+    projection read ``values``.
     """
 
     grid: FrequencyGrid
@@ -380,16 +382,16 @@ def norm_squared(a: JointAmplitude) -> float:
     return _walked_norm(w, lambda rows: x[rows])
 
 
-def _sampled(a: JointAmplitude, b: JointAmplitude):
+def _sampled(a: JointAmplitude, b: JointAmplitude, w: np.ndarray | None = None):
     """(X, Y, weights) with <a, b> = sum_ij weights_i weights_j conj(X) Y:
     of two block-constant amplitudes with equal runs their K x K samples,
-    with the grid's trapezoid weights summed over each run, and otherwise
-    the N x N values, with the weights themselves."""
-    w = a.grid.trapezoid_weights()
+    with the grid's trapezoid weights (or the rows of ``w``) summed over
+    each run, and otherwise the N x N values, with the weights themselves."""
+    w = a.grid.trapezoid_weights() if w is None else w
     runs = a.block_sizes
     if runs is None or b.block_sizes is None or not np.array_equal(runs, b.block_sizes):
         return a.values, b.values, w
-    return a.samples, b.samples, np.add.reduceat(w, np.cumsum(runs) - runs)
+    return a.samples, b.samples, np.add.reduceat(w, np.cumsum(runs) - runs, axis=-1)
 
 
 def _walked_norm(w: np.ndarray, block) -> float:
@@ -399,6 +401,35 @@ def _walked_norm(w: np.ndarray, block) -> float:
     for rows in _row_blocks(w.size):
         total += w[rows] @ np.square(block(rows).view(np.float64)) @ w_parts
     return float(total)
+
+
+def intensity_moments(a: JointAmplitude) -> np.ndarray:
+    """[m_0, m_1, m_2, s_2]: m_k = sum_ij w_i w_j |a[i, j]|^2 v^k with v =
+    w_j - w_i, and s_2 the sum of the magnitudes of the terms of m_2, which
+    bounds its rounding.  With t the grid offsets from the center in steps,
+    v = (t_j - t_i) step expands into sums M_ab of w_i w_j |a|^2 t_i^a t_j^b:
+    of a factored amplitude, six ``hankel_sum`` calls on the vectors of
+    <a, a>; otherwise, rows of w_i t_i^a times row blocks of |a|^2 times
+    w_j t_j^b, over the samples of a block-constant amplitude (``_sampled``).
+    """
+    n = a.grid.n_points
+    t = np.arange(n) - 0.5 * (n - 1)
+    m = np.zeros((3, 3))
+    if a.factors is not None:
+        p, u, v = _factored_vectors(a.grid, a.factors, a.factors)
+        for i, j in ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)):
+            m[i, j] = hankel_sum(p, u.real * t**i, v.real * t**j)
+    else:
+        x, _, w = _sampled(a, a, a.grid.trapezoid_weights() * t ** np.arange(3)[:, None])
+        columns = np.repeat(w.T, 2, axis=0)  # real and imaginary parts side by side
+        for rows in _row_blocks(w.shape[1]):
+            m += w[:, rows] @ (np.square(x[rows].view(np.float64)) @ columns)
+    step = a.grid.step
+    squares, product = m[0, 2] + m[2, 0], 2.0 * m[1, 1]  # of t_j^2 + t_i^2 and 2 t_i t_j
+    return np.array([
+        m[0, 0], (m[0, 1] - m[1, 0]) * step, (squares - product) * step**2,
+        (squares + abs(product)) * step**2,
+    ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,87 +560,46 @@ def _plus_norm(a: JointAmplitude, b: JointAmplitude, expanded: float) -> float:
     return expanded
 
 
-@dataclass(frozen=True, eq=False)
-class StateSpectra:
-    """Sums along the diagonals j - i = k = -(N-1) .. N-1, entry k + N - 1 at
-    w_V - w_H = offsets[k + N - 1] = k * step: ``cross`` of w_i w_j conj(F1) F2
-    (c_k) and ``intensity`` of w_i w_j (|F1|^2 + |F2|^2) / 2 (I_k)."""
+def spectra(state: TwoPhotonState) -> np.ndarray:
+    """The cross spectrum c_k, k = -(N-1) .. N-1: sums of w_i w_j conj(F1) F2
+    along the diagonals j - i = k, entry k + N - 1 at w_V - w_H = k step,
+    from one blocked pass.  Row t of an r-row block goes to row r - 1 - t
+    of a skew buffer with r zeros after each row; read as rows one entry
+    shorter, each column is one diagonal of the block.
 
-    offsets: np.ndarray
-    cross: np.ndarray
-    intensity: np.ndarray
-    step: float
-
-
-def spectra(state: TwoPhotonState) -> StateSpectra:
-    """``StateSpectra`` from one blocked pass.  Row t of an r-row block goes
-    to row r - 1 - t of a skew buffer with r zeros after each row; read as
-    rows one entry shorter, each column is one diagonal of the block.
-
-    Only the block integrands depend on how the amplitudes are stored: of
-    two factored amplitudes they come from the factors, so the N x N
-    ``values`` are never formed.  Spectra that overflow are refused.  The
+    Only the block integrand depends on how the amplitudes are stored: of
+    two factored amplitudes it is the outer product of the
+    ``_factored_vectors`` of <F1, F2> times rows of their Hankel matrix,
+    so the N x N ``values`` are never formed; otherwise it is the values
+    scaled by sqrt(w_i w_j).  A spectrum that overflows is refused.  The
     block buffers are allocated once per call, so that whether a block
     page-faults does not depend on the allocator's history.
     """
-    n, step = state.grid.n_points, state.grid.step
-    cross, intensity = np.zeros(2 * n - 1, dtype=np.complex128), np.zeros(2 * n - 1)
-    factored = state.f_h1v2.factors is not None and state.f_v1h2.factors is not None
-    height = _block_height(n)
-    size = height * (n + height)
-    buffers = np.empty(size, dtype=np.complex128), np.empty(size)
+    grid, f1, f2 = state.grid, state.f_h1v2, state.f_v1h2
+    n, height = grid.n_points, _block_height(grid.n_points)
+    cross = np.zeros(2 * n - 1, dtype=np.complex128)
+    buffer = np.empty(height * (n + height), dtype=np.complex128)
+    factored = f1.factors is not None and f2.factors is not None
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        fill = (_factored_integrands if factored else _dense_integrands)(state)
+        if factored:
+            p, u, v = _factored_vectors(grid, f1.factors, f2.factors)
+            p = sliding_window_view(p, n)
+            outer = np.empty((height, n), dtype=np.complex128)
+        else:
+            s = np.sqrt(grid.trapezoid_weights())
         for rows in _row_blocks(n):
             r = min(rows.stop, n) - rows.start
             lo, width = n - r - rows.start, n + r - 1
-            skew_cross, skew_intensity = (b[: r * (n + r)].reshape(r, n + r) for b in buffers)
-            skew_cross[:, n:] = skew_intensity[:, n:] = 0.0
-            fill(rows, skew_cross[::-1, :n], skew_intensity[::-1, :n])
-            for total, skew in ((cross, skew_cross), (intensity, skew_intensity)):
-                total[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
-    if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(intensity))):
+            skew = buffer[: r * (n + r)].reshape(r, n + r)
+            skew[:, n:] = 0.0
+            block = skew[::-1, :n]  # strided: written once, from contiguous terms
+            if factored:
+                np.multiply(np.multiply.outer(u[rows], v, out=outer[:r]), p[rows], out=block)
+            else:
+                weight = s[rows, None] * s[None, :]
+                a, b = weight * f1.values[rows], weight * f2.values[rows]
+                np.multiply(np.conj(a, out=a), b, out=block)
+            cross[lo : lo + width] += skew.ravel()[: r * width].reshape(r, width).sum(axis=0)
+    if not np.all(np.isfinite(cross)):
         raise ValueError("state spectra are not finite: w_i w_j |F|^2 overflows")
-    return StateSpectra(np.arange(1 - n, n) * step, cross, 0.5 * intensity, step)
-
-
-def _dense_integrands(state: TwoPhotonState):
-    """Writes a row block of w_i w_j conj(F1) F2 and w_i w_j (|F1|^2 + |F2|^2),
-    from the values scaled by sqrt(w_i w_j)."""
-    s = np.sqrt(state.grid.trapezoid_weights())
-    f1, f2 = state.f_h1v2.values, state.f_v1h2.values
-
-    def fill(rows: slice, cross: np.ndarray, intensity: np.ndarray) -> None:
-        weight = s[rows, None] * s[None, :]
-        a, b = weight * f1[rows], weight * f2[rows]
-        squares = a.view(np.float64) ** 2 + b.view(np.float64) ** 2
-        np.add(squares[:, 0::2], squares[:, 1::2], out=intensity)
-        np.multiply(np.conj(a, out=a), b, out=cross)
-
-    return fill
-
-
-def _factored_integrands(state: TwoPhotonState):
-    """Writes the row blocks of ``_dense_integrands`` from the factors, as
-    the outer products of ``_factored_vectors`` times rows of their Hankel
-    matrices, reading no values.  w_i w_j |F|^2 takes the vectors of <F, F>."""
-    grid, f1, f2 = state.grid, state.f_h1v2.factors, state.f_v1h2.factors
-    hankel = functools.partial(sliding_window_view, window_shape=grid.n_points)
-    p, u, v = _factored_vectors(grid, f1, f2)
-    (p1, u1, v1), (p2, u2, v2) = (_factored_vectors(grid, f, f) for f in (f1, f2))
-    p, p1, p2 = hankel(p), hankel(p1), hankel(p2)
-    u1, v1, u2, v2 = u1.real, v1.real, u2.real, v2.real
-    shape = (_block_height(grid.n_points), grid.n_points)
-    outer, outer1, outer2 = np.empty(shape, np.complex128), np.empty(shape), np.empty(shape)
-
-    def fill(rows: slice, cross: np.ndarray, intensity: np.ndarray) -> None:
-        # the outputs are strided views: each is written once, from contiguous terms
-        r = cross.shape[0]
-        np.multiply(np.multiply.outer(u[rows], v, out=outer[:r]), p[rows], out=cross)
-        term1 = np.multiply.outer(u1[rows], v1, out=outer1[:r])
-        term2 = np.multiply.outer(u2[rows], v2, out=outer2[:r])
-        term1 *= p1[rows]
-        term2 *= p2[rows]
-        np.add(term1, term2, out=intensity)
-
-    return fill
+    return cross

@@ -8,8 +8,7 @@ outputs against numbers that do not come from the code under test.  The
 the long way, one N^2 quadrature of the defining integrand per angle, as
 the reference for the library's closed forms; ``direct_fringe_fit`` fits
 the analyzer-2 fringe to those rates by least squares.  ``direct_reductions``,
-``direct_cross_spectrum``, ``direct_intensity_spectrum``,
-``direct_coincidence_probability``, ``direct_feynman_overlap`` and
+``direct_cross_spectrum``, ``direct_coincidence_probability``, ``direct_feynman_overlap`` and
 ``direct_coherence_time`` sum the integrands with the full N x N trapezoid
 weights w_i w_j, the reference for the library's blocked passes over
 separable weights and its one-overlap Feynman split; ``direct_type2_state``
@@ -239,12 +238,6 @@ def _diagonal_sums(state: TwoPhotonState, values: np.ndarray) -> np.ndarray:
 def direct_cross_spectrum(state: TwoPhotonState) -> np.ndarray:
     """c_k: diagonal sums of w_i w_j conj(F1[i, j]) F2[i, j] over j - i = k."""
     return _diagonal_sums(state, np.conj(state.f_h1v2.values) * state.f_v1h2.values)
-
-
-def direct_intensity_spectrum(state: TwoPhotonState) -> np.ndarray:
-    """I_k: diagonal sums of w_i w_j (|F1|^2 + |F2|^2) / 2 over j - i = k."""
-    intensity = 0.5 * (np.abs(state.f_h1v2.values) ** 2 + np.abs(state.f_v1h2.values) ** 2)
-    return _diagonal_sums(state, intensity).real
 
 
 def _delayed_values(state: TwoPhotonState, delay: float) -> tuple[np.ndarray, np.ndarray]:

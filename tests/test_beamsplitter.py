@@ -29,7 +29,7 @@ from biphoton import (
 )
 from biphoton.beamsplitter import FLAT_VISIBILITY, _rates
 from biphoton.cli import list_presets, load_config
-from biphoton.core import spectra
+from biphoton.core import Factors, spectra
 
 CENTER = wavelength_to_angular_frequency(780e-9)
 
@@ -232,6 +232,25 @@ def test_coincidence_probability_takes_no_spectra_pass(minus_state, monkeypatch)
     assert coincidence_probability(state, delay, mode_overlap=0.75) == expected
 
 
+@pytest.mark.parametrize("form", ["factored", "dense"])
+def test_coherence_time_takes_no_spectra_pass(minus_state, monkeypatch, form):
+    import biphoton.beamsplitter as beamsplitter_module
+    import biphoton.core as core_module
+
+    state, _ = minus_state
+    if form == "dense":
+        state = TwoPhotonState(*(JointAmplitude(state.grid, np.array(f.values)) for f in (
+            state.f_h1v2, state.f_v1h2)))
+    expected = coherence_time(state)
+
+    def refused(*_):
+        raise AssertionError("spectra pass")
+
+    for module in (beamsplitter_module, core_module):
+        monkeypatch.setattr(module, "spectra", refused)
+    assert coherence_time(state) == expected
+
+
 def test_coherence_time_matches_closed_form(minus_state):
     state, p = minus_state
     expected = support.type2_coherence_time(p.sigma_h, p.sigma_v, p.pump_sigma)
@@ -250,6 +269,21 @@ def test_coherence_time_rejects_degenerate_spread():
     zero = JointAmplitude(grid, np.zeros((16, 16)))
     with pytest.raises(ValueError, match="zero norm"):
         coherence_time(TwoPhotonState(zero, zero))
+
+
+@pytest.mark.parametrize("i, j", [(3, 11), (0, 15), (7, 8), (0, 3), (1, 12), (6, 7), (3, 3)])
+def test_coherence_time_rejects_the_spread_of_a_factored_point(i, j):
+    # all weight sits at one w_V - w_H; its moments expand into terms whose
+    # rounding must not read as a spread (the last four give a positive
+    # variance of rounding)
+    grid = FrequencyGrid.centered(CENTER, 1e14, 16)
+    x, y = np.zeros(16, dtype=np.complex128), np.zeros(16, dtype=np.complex128)
+    x[i], y[j] = 1.0, 1.0
+    state = TwoPhotonState(
+        JointAmplitude(grid, factors=Factors(x, y)), JointAmplitude(grid, factors=Factors(-x, y))
+    )
+    with pytest.raises(ValueError, match="frequency-difference spread is zero"):
+        coherence_time(state)
 
 
 def test_delay_scan_summary_numbers(minus_state):
@@ -357,13 +391,27 @@ def test_delay_scan_rejects_short_spans(minus_state):
         delay_scan(state, [-1e300, 0.0, 1e300])
 
 
+def test_delay_scan_checks_its_span_before_the_spectra_pass(minus_state, monkeypatch):
+    import biphoton.beamsplitter as beamsplitter_module
+
+    state, _ = minus_state
+    tau_c = coherence_time(state)
+
+    def refused(*_):
+        raise AssertionError("spectra pass")
+
+    monkeypatch.setattr(beamsplitter_module, "spectra", refused)
+    with pytest.raises(ValueError, match="10 coherence times"):
+        delay_scan(state, np.linspace(-5.0 * tau_c, 12.0 * tau_c, 50))
+
+
 def test_delay_scan_refuses_a_zero_background(minus_state, monkeypatch):
     import biphoton.beamsplitter as beamsplitter_module
 
     state, _ = minus_state
     tau_c = coherence_time(state)
     monkeypatch.setattr(
-        beamsplitter_module, "_rates", lambda spec, delays, mode_overlap: np.zeros(delays.size)
+        beamsplitter_module, "_rates", lambda state, delays, mode_overlap: np.zeros(delays.size)
     )
     with pytest.raises(ValueError, match="scan background is zero"):
         delay_scan(state, np.linspace(-12.0 * tau_c, 12.0 * tau_c, 41))
@@ -482,16 +530,20 @@ def test_visibility_floor_separates_flat_from_faint_curves():
     assert flat.extremum_delay == _closest_to_zero(delays)
 
 
-def _extended_precision_rates(spec, delays, mode_overlap):
-    # 1/2 sum I_k - 1/2 mode_overlap Re sum c_k e^{i k dw tau} in long double,
-    # each phase formed from the exact integer k
+def _extended_precision_rates(state, delays, mode_overlap):
+    # 1/4 sum_ij w_i w_j (|F1|^2 + |F2|^2) - 1/2 mode_overlap Re sum c_k e^{i k dw tau}
+    # in long double, each phase formed from the exact integer k
     ld = np.longdouble
-    k = np.arange(spec.cross.size, dtype=ld) - spec.cross.size // 2
-    phase = np.asarray(delays, dtype=ld)[:, None] * (k * ld(spec.step))[None, :]
-    c = spec.cross
+    c = spectra(state)
+    k = np.arange(c.size, dtype=ld) - c.size // 2
+    phase = np.asarray(delays, dtype=ld)[:, None] * (k * ld(state.grid.step))[None, :]
     cross = np.cos(phase) @ c.real.astype(ld) - np.sin(phase) @ c.imag.astype(ld)
-    background = 0.5 * np.sum(spec.intensity.astype(ld))
-    return np.clip(background - 0.5 * ld(mode_overlap) * cross, 0.0, 1.0)
+    w = state.grid.trapezoid_weights().astype(ld)
+    total = ld(0.0)
+    for amplitude in (state.f_h1v2, state.f_v1h2):
+        parts = amplitude.values.view(np.float64).astype(ld)
+        total += w @ (np.square(parts[:, 0::2]) + np.square(parts[:, 1::2])) @ w
+    return np.clip(0.25 * total - 0.5 * ld(mode_overlap) * cross, 0.0, 1.0)
 
 
 @pytest.mark.skipif(
@@ -504,11 +556,10 @@ def test_scan_rates_match_an_extended_precision_evaluation(preset, n_points):
     # a grid step taken as a difference of two float offsets fails this bound
     config = load_config(preset)
     state = config.build_state(n_points)
-    spec = spectra(state)
     delays = config.scan.delays()
     for mode_overlap in (1.0, 0.75):
         rates = delay_scan(state, delays, mode_overlap=mode_overlap).rates
-        reference = _extended_precision_rates(spec, delays, mode_overlap)
+        reference = _extended_precision_rates(state, delays, mode_overlap)
         assert float(np.max(np.abs(rates - reference))) <= 2e-15
 
 
@@ -541,10 +592,9 @@ def test_scans_of_a_built_state_form_no_amplitude(name):
 def test_scan_rates_do_not_depend_on_the_batch(n_points):
     # 2N - 1 = 3 needs padding to a square table; 9 and 25 are squares
     state = support.make_random_state(np.random.default_rng(n_points), n_points=n_points)
-    spec = spectra(state)
     delays = np.linspace(-3.0, 3.0, 41) * state.grid.alias_delay
-    whole = _rates(spec, delays, 0.75)
-    halves = np.concatenate([_rates(spec, delays[:20], 0.75), _rates(spec, delays[20:], 0.75)])
+    whole = _rates(state, delays, 0.75)
+    halves = np.concatenate([_rates(state, delays[:20], 0.75), _rates(state, delays[20:], 0.75)])
     single = [coincidence_probability(state, float(d), mode_overlap=0.75) for d in delays]
     direct = [support.direct_coincidence_probability(state, float(d), 0.75) for d in delays]
     np.testing.assert_array_equal(whole, halves)

@@ -527,6 +527,24 @@ def test_oracle_check_passes_on_every_preset(capsys):
         assert "k_bins = 8" in out_text
 
 
+def test_oracle_check_makes_no_spectra_pass(capsys, monkeypatch):
+    # its checked delays need tau_c, which the intensity moments give
+    import biphoton.beamsplitter as beamsplitter_module
+    import biphoton.core as core_module
+
+    argv = ["oracle-check", "--config", "uncompensated_peak", "--bins", "32"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr().out
+
+    def refused(*_):
+        raise AssertionError("spectra pass")
+
+    for module in (beamsplitter_module, core_module):
+        monkeypatch.setattr(module, "spectra", refused)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_oracle_check_bins_flag(capsys):
     assert main(["oracle-check", "--config", "bell_ideal", "--bins", "3"]) == EXIT_OK
     assert "k_bins = 3" in capsys.readouterr().out

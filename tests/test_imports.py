@@ -154,6 +154,7 @@ def test_oracle_shares_no_code_with_the_quadrature_path():
         "trapezoid_weights",
         "reductions",
         "spectra",
+        "intensity_moments",
         "_factored_inner",
         "hankel_sum",
         "inner_product",
