@@ -27,20 +27,20 @@ All integrals are 2D trapezoidal quadratures on the shared grid with the
 separable weight w_i w_j.  ``inner_product``, ``norm_squared`` and
 ``intensity_moments``, and the block integrand of ``spectra``, are the
 only code that reads how an amplitude is stored.  Of two amplitudes with
-1D factors (``Factors``), as every builder returns, each quadrature is one
-1D convolution (the moments are six); of two block-constant amplitudes
-with equal runs, as the oracle's ``reconstruct`` returns, it sums
-omega^T X omega over row blocks of the K x K samples, omega the weights w
-summed over each run; otherwise they sum w^T X w over row blocks of the
-N x N values, building no N x N temporary.  ``reductions`` (polarization,
-symmetry) is built from the first two, so of a built state it makes no
-N^2 pass, and neither do the moments (coherence time).  ``spectra`` (the
-cross term of the coincidence rates) sums its one integrand over row
-blocks, each block formed from the 1D factors of two factored amplitudes
-and otherwise from the values scaled by sqrt(w_i w_j), so of a built
-state it forms no N x N array.  The state normalization convention is
-(1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the 1/2 carrying the global
-prefactor of the two-term superposition.
+1D factors (``Factors``, F[i, j] = x_i y_j p_{i+j}), as every builder
+returns, each quadrature is one 1D convolution (the moments are six); of
+two block-constant amplitudes with equal runs, as the oracle's
+``reconstruct`` returns, it sums omega^T X omega over row blocks of the
+K x K samples, omega the weights w summed over each run; otherwise they sum
+w^T X w over row blocks of the N x N values, building no N x N temporary.
+``reductions`` (polarization, symmetry) is built from the first two, so of
+a built state it makes no N^2 pass, and neither do the moments (coherence
+time).  ``spectra`` (the cross term of the coincidence rates) sums its one
+integrand over row blocks, each block formed from the 1D factors of two
+factored amplitudes and otherwise from the values scaled by sqrt(w_i w_j),
+so of a built state it forms no N x N array.  The state normalization
+convention is (1/2) * (||f_h1v2||^2 + ||f_v1h2||^2) == 1, the 1/2 carrying
+the global prefactor of the two-term superposition.
 """
 
 from __future__ import annotations
@@ -133,17 +133,17 @@ class FrequencyGrid:
 
 
 class Factors(NamedTuple):
-    """1D factors of an amplitude F[i, j] = x[i] y[j] m[i, j].
+    """1D factors of an amplitude F[i, j] = x[i] y[j] p[i + j].
 
-    The real magnitude m is ``magnitude`` = (g, h, p) with
-    m[i, j] = g[i] h[j] p[i + j], p holding 2N - 1 samples (a Hankel
-    matrix on the grid), or None for m = 1.  Any two factored amplitudes
-    on one grid have an O(N) inner product, whatever their magnitudes.
+    x and y are the row and column factors, p a real vector of 2N - 1
+    samples that fills the grid as a Hankel matrix (a pump envelope that
+    depends only on w + w').  Any two factored amplitudes on one grid
+    have an O(N) inner product.
     """
 
     x: np.ndarray
     y: np.ndarray
-    magnitude: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    p: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +173,7 @@ class JointAmplitude:
     A factored amplitude keeps its O(N) factors, which must be finite; it
     marks them read-only without copying them, like dense values.  It
     builds the read-only N x N ``values`` on first read, as
-    outer(x, y) * (outer(g, h) * hankel(p)).
+    outer(x, y) * hankel(p).
 
     ``inner_product``, ``norm_squared``, ``intensity_moments``, ``swap``
     and ``normalize`` keep to the factors, or to the samples of a
@@ -208,8 +208,9 @@ class JointAmplitude:
             return
         if self.block_sizes is not None:
             raise ValueError("block sizes go with samples, not with factors")
-        vectors = (self.factors.x, self.factors.y, *(self.factors.magnitude or ()))
-        for vector, size in zip(vectors, (n, n, n, n, 2 * n - 1)):
+        if np.iscomplexobj(self.factors.p):
+            raise ValueError("the Hankel factor p must be real")
+        for vector, size in zip(self.factors, (n, n, 2 * n - 1)):
             if np.shape(vector) != (size,):
                 raise ValueError(
                     f"factor shape {np.shape(vector)} does not match grid with {n} points"
@@ -226,27 +227,20 @@ class JointAmplitude:
             values = np.repeat(np.repeat(self.samples, runs, axis=0), runs, axis=1)
             values.setflags(write=False)
             return values
-        x, y, magnitude = self.factors
+        x, y, p = self.factors
         values = np.outer(x, y)
-        if magnitude is not None:
-            g, h, p = magnitude
-            dense_magnitude = np.outer(g, h)
-            dense_magnitude *= sliding_window_view(p, self.grid.n_points)
-            values *= dense_magnitude
+        values *= sliding_window_view(p, self.grid.n_points)
         return _frozen_values(values, self.grid.n_points)
 
     def swap(self) -> "JointAmplitude":
         """Exchange the two frequency arguments: swap(F)(w, w') = F(w', w).
-        Samples are transposed, keeping their runs; factors swap in O(N),
-        x with y and g with h, taken over without checking them again."""
+        Samples are transposed, keeping their runs; factors swap x with y in
+        O(N), taken over without checking them again."""
         if self.factors is None:
             return JointAmplitude(self.grid, self.samples.T.copy(), block_sizes=self.block_sizes)
-        x, y, magnitude = self.factors
-        if magnitude is not None:
-            g, h, p = magnitude
-            magnitude = (h, g, p)
+        x, y, p = self.factors
         swapped = object.__new__(JointAmplitude)
-        swapped.__dict__.update(grid=self.grid, factors=Factors(y, x, magnitude), block_sizes=None)
+        swapped.__dict__.update(grid=self.grid, factors=Factors(y, x, p), block_sizes=None)
         return swapped
 
 
@@ -322,19 +316,12 @@ def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | com
 
 
 def _factored_vectors(grid: FrequencyGrid, a: Factors, b: Factors):
-    """(p, u, v) with w_i w_j conj(A[i, j]) B[i, j] = u_i v_j p_{i+j}, for
-    A = (xa (x) ya) ma and B = (xb (x) yb) mb, m[i, j] = g_i h_j p_{i+j}:
-    p = pa pb, u = w ga gb conj(xa) xb and v = w hb ha conj(ya) yb, with x
-    and y balanced first (``_balanced``).  Taking hb before ha gives
-    <F1, swap F2> the same column weight w g h as its row weight, bit for
-    bit."""
+    """(p, u, v) with w_i w_j conj(A[i, j]) B[i, j] = u_i v_j p_{i+j}: p =
+    pa pb, u = w conj(xa) xb and v = w conj(ya) yb, with x and y balanced
+    first (``_balanced``)."""
     w = grid.trapezoid_weights()
-    ga, ha, pa = a.magnitude or (1.0, 1.0, 1.0)
-    gb, hb, pb = b.magnitude or (1.0, 1.0, 1.0)
-    # ones as an array: a broadcast view would round the final sums differently
-    p = np.ones(2 * w.size - 1) if a.magnitude is b.magnitude is None else pa * pb
     (xa, ya), (xb, yb) = _balanced(a), _balanced(b)
-    return p, w * ga * gb * np.conj(xa) * xb, w * hb * ha * np.conj(ya) * yb
+    return a.p * b.p, w * np.conj(xa) * xb, w * np.conj(ya) * yb
 
 
 def _balanced(f: Factors):
@@ -529,28 +516,29 @@ class StateReductions:
 
 def reductions(state: TwoPhotonState) -> StateReductions:
     """``StateReductions`` from ``norm_squared`` and ``inner_product``, with
-    each plus norm from ``_plus_norm``."""
+    each plus norm from ``_plus_norm``.  Reductions that overflow are refused."""
     f1, f2 = state.f_h1v2, state.f_v1h2
     f2_path = f2.swap()
-    n1, n2 = norm_squared(f1), norm_squared(f2)
-    overlap, path_overlap = inner_product(f1, f2), inner_product(f1, f2_path)
-    plus = _plus_norm(f1, f2, n1 + n2 + 2.0 * overlap.real)
-    path_plus = _plus_norm(f1, f2_path, n1 + n2 + 2.0 * path_overlap.real)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        n1, n2 = norm_squared(f1), norm_squared(f2)
+        overlap, path_overlap = inner_product(f1, f2), inner_product(f1, f2_path)
+        plus = _plus_norm(f1, f2, n1 + n2 + 2.0 * overlap.real)
+        path_plus = _plus_norm(f1, f2_path, n1 + n2 + 2.0 * path_overlap.real)
+    if not np.all(np.isfinite([n1, n2, overlap, path_overlap, plus, path_plus])):
+        raise ValueError("state reductions are not finite: w_i w_j |F|^2 overflows")
     return StateReductions(n1, n2, overlap, path_overlap, plus, path_plus)
 
 
 def _plus_norm(a: JointAmplitude, b: JointAmplitude, expanded: float) -> float:
     """||a + b||^2, summed directly where exact negation can cancel it to 0:
     over row blocks of values or samples (``_sampled``), or over the
-    combined factor where a and b share their magnitude and one vector bit
-    for bit.  Otherwise ``expanded``, the n_a + n_b + 2 Re <a, b> the
-    caller has."""
+    combined factor where a and b share p and one of x and y bit for bit.
+    Otherwise ``expanded``, the n_a + n_b + 2 Re <a, b> the caller has."""
     fa, fb = a.factors, b.factors
     if fa is None or fb is None:
         x, y, w = _sampled(a, b)
         return _walked_norm(w, lambda rows: x[rows] + y[rows])
-    ma, mb = fa.magnitude, fb.magnitude
-    if ma is mb or (ma is not None and mb is not None and all(map(np.array_equal, ma, mb))):
+    if np.array_equal(fa.p, fb.p):
         if np.array_equal(fa.x, fb.x):
             combined = fa._replace(y=fa.y + fb.y)
             return _factored_inner(a.grid, combined, combined).real

@@ -234,8 +234,9 @@ def type2_joint_envelope(params: SpdcParams, grid: FrequencyGrid) -> JointAmplit
     with G Gaussian photon envelopes around the degenerate frequency and P
     the Gaussian pump envelope around the pump frequency.  Not normalized.
     """
-    phases = grid.phase(params.t_h, "t_h"), grid.phase(params.t_v, "t_v")
-    return JointAmplitude(grid, factors=Factors(*phases, _type2_factors(params, grid)[0]))
+    (g_h, g_v, pump), _ = _type2_factors(params, grid)
+    x, y = g_h * grid.phase(params.t_h, "t_h"), g_v * grid.phase(params.t_v, "t_v")
+    return JointAmplitude(grid, factors=Factors(x, y, pump))
 
 
 def build_type2_ultrafast(
@@ -261,9 +262,8 @@ def build_type2_ultrafast(
     ``antisymmetric`` the state is ``build_antisymmetric`` of F instead
     (f_v1h2 = -f_h1v2 exactly; phi and the arm-2 delay are not used).
     """
-    magnitude, extremes = _type2_factors(params, grid)
+    (g_h, g_v, pump), extremes = _type2_factors(params, grid)
     _check_grid_wide_enough(*extremes, "the joint spectral envelope")
-    g_h, g_v, pump = magnitude
     w = grid.trapezoid_weights()
 
     def norm_with(tau) -> float:
@@ -276,15 +276,15 @@ def build_type2_ultrafast(
         raise ValueError(
             f"filter support lies outside the grid: it keeps norm^2 {total!r} of {norm_with(1.0)!r}"
         )
-    row = (t / math.sqrt(total)) * grid.phase(params.t_h, "t_h")
-    col = t * grid.phase(params.t_v, "t_v")
+    row = (t * g_h / math.sqrt(total)) * grid.phase(params.t_h, "t_h")
+    col = (t * g_v) * grid.phase(params.t_v, "t_v")
     delay2 = params.extra_group_delay_arm2
     arm2 = 1.0 if antisymmetric else grid.phase(delay2, "extra_group_delay_arm2")
-    f1 = Factors(row, col * arm2, magnitude)
+    f1 = Factors(row, col * arm2, pump)
     if antisymmetric:
-        f2 = Factors(-row, f1.y, magnitude)
+        f2 = Factors(-row, f1.y, pump)
     else:
-        f2 = Factors(np.exp(-1j * params.phi) * row * arm2, col, magnitude)
+        f2 = Factors(np.exp(-1j * params.phi) * row * arm2, col, pump)
     return TwoPhotonState(JointAmplitude(grid, factors=f1), JointAmplitude(grid, factors=f2))
 
 
@@ -332,9 +332,10 @@ def build_bell_psi_minus(
         total *= norm
     g1 = g1 / math.sqrt(total)
     _check_grid_wide_enough(*_outer_extremes(g1, g2), "the Bell-state envelope")
+    ones = np.ones(2 * grid.n_points - 1)
     return TwoPhotonState(
-        JointAmplitude(grid, factors=Factors(g1, g2)),
-        JointAmplitude(grid, factors=Factors(-g2, g1)),
+        JointAmplitude(grid, factors=Factors(g1, g2, ones)),
+        JointAmplitude(grid, factors=Factors(-g2, g1, ones)),
     )
 
 
@@ -366,9 +367,10 @@ def build_two_color(
     red = gaussian_line(grid, red_center, bandwidth)
     blue = gaussian_line(grid, blue_center, bandwidth)
     _check_grid_wide_enough(*_outer_extremes(red, blue), "the two-color envelope")
-    f2 = Factors(-red, blue) if case == "i" else Factors(-blue, red)
+    ones = np.ones(2 * grid.n_points - 1)
+    f2 = Factors(-red, blue, ones) if case == "i" else Factors(-blue, red, ones)
     return TwoPhotonState(
-        JointAmplitude(grid, factors=Factors(red, blue)), JointAmplitude(grid, factors=f2)
+        JointAmplitude(grid, factors=Factors(red, blue, ones)), JointAmplitude(grid, factors=f2)
     )
 
 

@@ -278,9 +278,10 @@ def test_coherence_time_rejects_the_spread_of_a_factored_point(i, j):
     # variance of rounding)
     grid = FrequencyGrid.centered(CENTER, 1e14, 16)
     x, y = np.zeros(16, dtype=np.complex128), np.zeros(16, dtype=np.complex128)
-    x[i], y[j] = 1.0, 1.0
+    x[i], y[j], p = 1.0, 1.0, np.ones(31)
     state = TwoPhotonState(
-        JointAmplitude(grid, factors=Factors(x, y)), JointAmplitude(grid, factors=Factors(-x, y))
+        JointAmplitude(grid, factors=Factors(x, y, p)),
+        JointAmplitude(grid, factors=Factors(-x, y, p)),
     )
     with pytest.raises(ValueError, match="frequency-difference spread is zero"):
         coherence_time(state)

@@ -3,6 +3,7 @@ quadrature passes behind every reported observable."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +18,17 @@ from biphoton import (
     TwoPhotonState,
     as_residual,
     bell_residual,
+    chsh,
+    classify,
     coherence_time,
     coincidence_probability,
+    correlation_scan,
     delay_scan,
+    fringe_visibility_45,
     inner_product,
     norm_squared,
     normalize,
+    rc_integrated,
     require_normalized,
     wavelength_to_angular_frequency,
 )
@@ -166,30 +172,21 @@ def test_swap_is_an_exact_involution_and_isometry(seed):
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    unit_magnitude=st.booleans(),
+    unit_p=st.booleans(),
     real_valued_y=st.booleans(),
 )
-def test_factored_swap_keeps_its_factors_and_transposes_the_values(
-    seed, unit_magnitude, real_valued_y
-):
+def test_factored_swap_keeps_its_factors_and_transposes_the_values(seed, unit_p, real_valued_y):
     rng = np.random.default_rng(seed)
     n = 9
     grid = FrequencyGrid.centered(2.4e15, 5e13, n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     y = rng.standard_normal(n) + (0j if real_valued_y else 1j * rng.standard_normal(n))
-    magnitude = None
-    if not unit_magnitude:
-        magnitude = tuple(rng.uniform(0.5, 1.0, size) for size in (n, n, 2 * n - 1))
-    amp = JointAmplitude(grid, factors=Factors(x, y, magnitude))
+    p = np.ones(2 * n - 1) if unit_p else rng.uniform(0.5, 1.0, 2 * n - 1)
+    amp = JointAmplitude(grid, factors=Factors(x, y, p))
     swapped = amp.swap()
-    assert swapped.factors.x is y and swapped.factors.y is x
-    for vector in (swapped.factors.x, swapped.factors.y, *(swapped.factors.magnitude or ())):
+    assert swapped.factors.x is y and swapped.factors.y is x and swapped.factors.p is p
+    for vector in swapped.factors:
         assert not vector.flags.writeable
-    if magnitude is None:
-        assert swapped.factors.magnitude is None
-    else:
-        g, h, p = swapped.factors.magnitude
-        assert g is magnitude[1] and h is magnitude[0] and p is magnitude[2]
     transposed = np.ascontiguousarray(amp.values.T)
     if real_valued_y:
         assert swapped.values.tobytes() == transposed.tobytes()
@@ -205,11 +202,8 @@ def test_reductions_read_the_swap_as_the_checked_constructor_builds_it(name):
     # swap() takes the factors over without checking them again; the swap
     # built through the constructor gives the same path overlap, bit for bit
     state = load_config(name).build_state(256)
-    x, y, magnitude = state.f_v1h2.factors
-    if magnitude is not None:
-        g, h, p = magnitude
-        magnitude = (h, g, p)
-    checked = JointAmplitude(state.grid, factors=Factors(y, x, magnitude))
+    x, y, p = state.f_v1h2.factors
+    checked = JointAmplitude(state.grid, factors=Factors(y, x, p))
     assert reductions(state).path_overlap == inner_product(state.f_h1v2, checked)
 
 
@@ -276,7 +270,9 @@ def test_mixed_block_constant_pairs_take_the_values_route():
         block_constant([6, 6, 6, 6]),
         block_constant([5, 3, 9, 6, 1]),
         JointAmplitude(grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))),
-        JointAmplitude(grid, factors=Factors(rng.standard_normal(n), rng.standard_normal(n))),
+        JointAmplitude(grid, factors=Factors(
+            rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.5, 1.0, 2 * n - 1)
+        )),
     ]
     dense_a = JointAmplitude(grid, a.values)
     for b in others:
@@ -323,7 +319,8 @@ def test_block_constant_constructor_rejects_bad_runs_and_samples():
         with pytest.raises(ValueError, match="finite"):
             JointAmplitude(grid, samples, block_sizes=[1, 2, 3])
     with pytest.raises(ValueError):
-        JointAmplitude(grid, factors=Factors(np.ones(6), np.ones(6)), block_sizes=[3, 3])
+        factors = Factors(np.ones(6), np.ones(6), np.ones(11))
+        JointAmplitude(grid, factors=factors, block_sizes=[3, 3])
 
 
 def test_inner_product_requires_matching_grids():
@@ -544,7 +541,9 @@ def _build(config, n_points: int) -> TwoPhotonState:
 def test_factored_reductions_match_direct_sums(name, n_points):
     state = _build(_FACTORED_CONFIGS[name], n_points)
     f1, f2 = state.f_h1v2.factors, state.f_v1h2.factors
-    assert f1 is not None and f2 is not None and f1.magnitude is f2.magnitude
+    assert f1 is not None and f2 is not None and f1.p is f2.p
+    if name == "antisymmetric":  # F2 = Factors(-x, y, p) of F1 = Factors(x, y, p)
+        assert f2.y is f1.y and np.array_equal(f2.x, -f1.x)
     got = dataclasses.asdict(reductions(state))
     for key, expected in support.direct_reductions(state).items():
         assert abs(got[key] - expected) <= 1e-13, key
@@ -572,12 +571,11 @@ def test_a_factored_state_and_its_dense_copy_give_the_same_reductions(name):
     n_points=st.integers(min_value=3, max_value=40),
     shared=st.sampled_from(["none", "x", "y", "x-path", "y-path"]),
     cancel=st.booleans(),
-    unit_magnitude=st.booleans(),
-    symmetric_magnitude=st.booleans(),
-    distinct_magnitudes=st.booleans(),
+    unit_p=st.booleans(),
+    distinct_p=st.booleans(),
 )
 def test_factored_reductions_of_random_factors_match_direct_sums(
-    seed, n_points, shared, cancel, unit_magnitude, symmetric_magnitude, distinct_magnitudes
+    seed, n_points, shared, cancel, unit_p, distinct_p
 ):
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid.centered(2.4e15, 5e13, n_points)
@@ -597,17 +595,15 @@ def test_factored_reductions_of_random_factors_match_direct_sums(
     elif shared == "y-path":
         x2, y2 = y1.copy(), -x1 if cancel else y2
 
-    def random_magnitude():
-        g = rng.uniform(0.1, 2.0, n_points)
-        h = g.copy() if symmetric_magnitude else rng.uniform(0.1, 2.0, n_points)
-        return g, h, rng.uniform(0.1, 2.0, 2 * n_points - 1)
+    def random_p():
+        return rng.uniform(0.1, 2.0, 2 * n_points - 1)
 
-    magnitude = None if unit_magnitude else random_magnitude()
-    # ``distinct_magnitudes`` gives F2 a (g, h, p) of its own
-    magnitude2 = random_magnitude() if distinct_magnitudes else magnitude
+    p = np.ones(2 * n_points - 1) if unit_p else random_p()
+    # ``distinct_p`` gives F2 a p of its own
+    p2 = random_p() if distinct_p else p
     state = TwoPhotonState(
-        JointAmplitude(grid, factors=Factors(x1, y1, magnitude)),
-        JointAmplitude(grid, factors=Factors(x2, y2, magnitude2)),
+        JointAmplitude(grid, factors=Factors(x1, y1, p)),
+        JointAmplitude(grid, factors=Factors(x2, y2, p2)),
     )
     got = dataclasses.asdict(reductions(state))
     scale = got["n1"] + got["n2"]
@@ -616,10 +612,10 @@ def test_factored_reductions_of_random_factors_match_direct_sums(
     walked = dataclasses.asdict(reductions(_densified(state)))
     for key in got:
         assert abs(got[key] - walked[key]) <= 1e-13 * scale, key
-    if cancel and shared in ("x", "y") and not distinct_magnitudes:
+    # with one shared p, a shared factor plus a negated one cancels for any p
+    if cancel and shared in ("x", "y") and not distinct_p:
         assert got["plus_norm"] == 0.0
-    path_shared = unit_magnitude or symmetric_magnitude
-    if cancel and shared in ("x-path", "y-path") and path_shared and not distinct_magnitudes:
+    if cancel and shared in ("x-path", "y-path") and not distinct_p:
         assert got["path_plus_norm"] == 0.0
 
 
@@ -650,24 +646,25 @@ def test_factored_spectra_match_the_dense_walk(name, n_points):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n_points=st.integers(min_value=2, max_value=40),
-    magnitudes=st.sampled_from(["none", "shared", "distinct", "first only", "second only"]),
+    ps=st.sampled_from(["ones", "shared", "distinct", "first only", "second only"]),
     zeros=st.sampled_from(["none", "entries", "second amplitude"]),
 )
-def test_factored_spectra_of_random_factors_match_the_dense_walk(seed, n_points, magnitudes, zeros):
+def test_factored_spectra_of_random_factors_match_the_dense_walk(seed, n_points, ps, zeros):
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid.centered(2.4e15, 5e13, n_points)
 
     def vector(size=n_points):
         values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        if zeros == "entries":  # exact zeros, also in the magnitudes
+        if zeros == "entries":  # exact zeros, also in p
             values[rng.random(size) < 0.3] = 0.0
         return values
 
-    def magnitude():
-        return tuple(np.abs(vector(size)) for size in (n_points, n_points, 2 * n_points - 1))
+    def random_p():
+        return np.abs(vector(2 * n_points - 1))
 
-    first = None if magnitudes in ("none", "second only") else magnitude()
-    second = {"shared": first, "distinct": magnitude(), "second only": magnitude()}.get(magnitudes)
+    ones = np.ones(2 * n_points - 1)
+    first = ones if ps in ("ones", "second only") else random_p()
+    second = {"shared": first, "distinct": random_p(), "second only": random_p()}.get(ps, ones)
     x2 = np.zeros(n_points, dtype=complex) if zeros == "second amplitude" else vector()
     state = TwoPhotonState(
         JointAmplitude(grid, factors=Factors(vector(), vector(), first)),
@@ -686,8 +683,8 @@ def test_factored_spectra_of_random_factors_match_the_dense_walk(seed, n_points,
 def _lopsided(state: TwoPhotonState, scale: float) -> TwoPhotonState:
     """The same amplitudes, with factors x * scale and y / scale."""
     return TwoPhotonState(*(
-        JointAmplitude(state.grid, factors=Factors(x * scale, y / scale, magnitude))
-        for x, y, magnitude in (state.f_h1v2.factors, state.f_v1h2.factors)
+        JointAmplitude(state.grid, factors=Factors(x * scale, y / scale, p))
+        for x, y, p in (state.f_h1v2.factors, state.f_v1h2.factors)
     ))
 
 
@@ -708,8 +705,6 @@ def test_a_lopsided_factorization_gives_the_dense_spectra(scale):
 def test_a_lopsided_factorization_classifies_like_the_balanced_one(scale):
     # |x|^2 (or |y|^2) overflows in every quadrature unless x and y are
     # balanced; the scaled factors round x and y, which moves residue digits
-    from biphoton import chsh, classify
-
     state = load_config("uncompensated_peak").build_state(64)
     lopsided = _lopsided(state, scale)
     got, expected = dataclasses.asdict(classify(lopsided)), dataclasses.asdict(classify(state))
@@ -725,8 +720,8 @@ def test_spectra_that_overflow_are_refused(form):
     n = 64
     grid = FrequencyGrid.centered(2.4e15, 5e13, n)
     if form == "factored":
-        ones = np.full(n, 1e160 + 0j)
-        amp = JointAmplitude(grid, factors=Factors(ones, ones.copy()))
+        big = np.full(n, 1e160 + 0j)
+        amp = JointAmplitude(grid, factors=Factors(big, big.copy(), np.ones(2 * n - 1)))
     else:
         amp = JointAmplitude(grid, np.full((n, n), 1e160 + 0j))
     state = TwoPhotonState(amp, amp.swap())
@@ -742,6 +737,22 @@ def test_spectra_that_overflow_are_refused(form):
     match = r"coincidence probability is not finite: w_i w_j \|F\|\^2 overflows"
     with pytest.raises(ValueError, match=match):
         coincidence_probability(state, 1e-14)
+    # the reductions overflow too: an out-of-range input, not a broken invariant,
+    # refused without a RuntimeWarning on the way
+    match = r"reductions are not finite: w_i w_j \|F\|\^2 overflows"
+    for reduction in (
+        lambda: chsh(state),
+        lambda: fringe_visibility_45(state),
+        lambda: rc_integrated(state, 0.0, 0.5 * math.pi),
+        lambda: correlation_scan(state, 0.0, np.linspace(0.0, math.pi, 5)).visibility,
+        lambda: classify(state),
+        lambda: as_residual(state),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=match) as refused:
+                reduction()
+        assert not isinstance(refused.value, InvariantError)
 
 
 def test_reductions_of_a_dense_state_allocate_about_one_amplitude():
@@ -764,8 +775,6 @@ def test_reductions_of_a_dense_state_allocate_about_one_amplitude():
 def test_classify_and_chsh_of_a_built_state_allocate_under_an_eighth_of_an_amplitude(name):
     import tracemalloc
 
-    from biphoton import chsh, classify
-
     n_points = 1024
     config = load_config(name)
     for observable in (classify, chsh, require_normalized, normalize):
@@ -778,9 +787,9 @@ def test_classify_and_chsh_of_a_built_state_allocate_under_an_eighth_of_an_ampli
         assert peak < 16 * n_points**2 / 8, observable.__name__
     state = config.build_state(n_points)
     unit = normalize(state)
-    magnitude = state.f_h1v2.factors.magnitude
+    p = state.f_h1v2.factors.p
     for amp in (unit.f_h1v2, unit.f_v1h2):
-        assert amp.factors is not None and amp.factors.magnitude is magnitude
+        assert amp.factors is not None and amp.factors.p is p
 
 
 def test_factored_values_follow_the_formula_and_are_read_only():
@@ -788,32 +797,42 @@ def test_factored_values_follow_the_formula_and_are_read_only():
     n = 9
     grid = FrequencyGrid.centered(2.4e15, 5e13, n)
     x, y = rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n) + 0j
-    g, h, p = rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, 2 * n - 1)
-    amp = JointAmplitude(grid, factors=Factors(x, y, (g, h, p)))
+    p = rng.uniform(0.5, 1.0, 2 * n - 1)
+    amp = JointAmplitude(grid, factors=Factors(x, y, p))
     hankel = p[np.add.outer(np.arange(n), np.arange(n))]
-    np.testing.assert_array_equal(amp.values, np.outer(x, y) * (np.outer(g, h) * hankel))
+    np.testing.assert_array_equal(amp.values, np.outer(x, y) * hankel)
     assert amp.values is amp.values
     with pytest.raises(ValueError):
         amp.values[0, 0] = 1.0
     # the factors are taken over and frozen, as dense values are
-    assert not any(vector.flags.writeable for vector in (x, y, g, h, p))
-    unit = JointAmplitude(grid, factors=Factors(x, y))
+    assert not any(vector.flags.writeable for vector in (x, y, p))
+    unit = JointAmplitude(grid, factors=Factors(x, y, np.ones(2 * n - 1)))
     np.testing.assert_array_equal(unit.values, np.outer(x, y))
 
 
 def test_factored_amplitude_validation():
     grid = FrequencyGrid.centered(2.4e15, 5e13, 4)
-    ones = np.ones(4)
+    ones, p = np.ones(4), np.ones(7)
     with pytest.raises(ValueError, match="either values or factors"):
         JointAmplitude(grid)
     with pytest.raises(ValueError, match="either values or factors"):
-        JointAmplitude(grid, np.ones((4, 4)), factors=Factors(ones, ones))
+        JointAmplitude(grid, np.ones((4, 4)), factors=Factors(ones, ones, p))
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'p'"):
+        Factors(ones, ones)
+    for bad_p in (None, ones, np.ones(8)):
+        with pytest.raises(ValueError, match="does not match grid with 4 points"):
+            JointAmplitude(grid, factors=Factors(ones, ones, bad_p))
     with pytest.raises(ValueError, match="does not match grid with 4 points"):
-        JointAmplitude(grid, factors=Factors(np.ones(5), ones))
-    with pytest.raises(ValueError, match="does not match grid with 4 points"):
-        JointAmplitude(grid, factors=Factors(ones, ones, (ones, ones, ones)))
-    with pytest.raises(ValueError, match="factors must be finite"):
-        JointAmplitude(grid, factors=Factors(ones, np.array([1.0, np.nan, 1.0, 1.0])))
+        JointAmplitude(grid, factors=Factors(np.ones(5), ones, p))
+    with pytest.raises(ValueError, match="p must be real"):
+        JointAmplitude(grid, factors=Factors(ones, ones, p + 0j))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="factors must be finite"):
+            JointAmplitude(grid, factors=Factors(ones, np.array([1.0, bad, 1.0, 1.0]), p))
+        bad_p = np.ones(7)
+        bad_p[3] = bad
+        with pytest.raises(ValueError, match="factors must be finite"):
+            JointAmplitude(grid, factors=Factors(ones, ones, bad_p))
 
 
 @pytest.mark.parametrize("inputs", ["real", "complex", "zero-imaginary"])
