@@ -30,14 +30,12 @@ from .core import (
     inner_product,
     norm_squared,
     normalize,
-    require_normalized,
     wavelength_to_angular_frequency,
 )
 from .correlation import (
     DEFAULT_CHSH_ANGLES,
     CorrelationCurve,
     chsh,
-    correlation_E,
     correlation_scan,
     fringe_visibility_45,
     rc_integrated,
@@ -97,7 +95,6 @@ __all__ = [
     "classify",
     "coherence_time",
     "coincidence_probability",
-    "correlation_E",
     "correlation_scan",
     "default_grid",
     "delay_scan",
@@ -111,7 +108,6 @@ __all__ = [
     "outcome_probabilities",
     "rc_integrated",
     "reconstruct",
-    "require_normalized",
     "type2_joint_envelope",
     "wavelength_to_angular_frequency",
 ]

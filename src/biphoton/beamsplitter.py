@@ -40,6 +40,7 @@ from .core import (
     FrequencyGrid,
     JointAmplitude,
     TwoPhotonState,
+    _scaled,
     inner_product,
     intensity_moments,
     norm_squared,
@@ -60,23 +61,12 @@ def apply_path1_delay(state: TwoPhotonState, delay: float) -> TwoPhotonState:
     The path-1 photon is H in the first term (frequency w_H, the row
     index) and V in the second term (frequency w_V, the column index), so
     the phase e^{i w delay} multiplies rows of f_h1v2 and columns of
-    f_v1h2: of two factored amplitudes, x of f_h1v2 and y of f_v1h2, in
-    O(N), leaving ``values`` unbuilt.
+    f_v1h2, in each amplitude's form (``core._scaled``): O(N) of a built state.
     """
     if delay == 0.0:
         return state
-    grid = state.grid
-    phase = grid.phase(delay, "delay")
-    f1, f2 = state.f_h1v2.factors, state.f_v1h2.factors
-    if f1 is not None and f2 is not None:
-        return TwoPhotonState(
-            JointAmplitude(grid, factors=f1._replace(x=f1.x * phase)),
-            JointAmplitude(grid, factors=f2._replace(y=f2.y * phase)),
-        )
-    return TwoPhotonState(
-        JointAmplitude(grid, state.f_h1v2.values * phase[:, None]),
-        JointAmplitude(grid, state.f_v1h2.values * phase[None, :]),
-    )
+    phase = state.grid.phase(delay, "delay")
+    return TwoPhotonState(_scaled(state.f_h1v2, rows=phase), _scaled(state.f_v1h2, cols=phase))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,10 +246,6 @@ class DelayScanCurve:
     def __post_init__(self) -> None:
         self.delays.setflags(write=False)
         self.rates.setflags(write=False)
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return [(float(d), float(r)) for d, r in zip(self.delays, self.rates)]
 
 
 def delay_scan(state: TwoPhotonState, delays, *, mode_overlap: float = 1.0) -> DelayScanCurve:

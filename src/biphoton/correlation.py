@@ -162,21 +162,11 @@ def correlation_scan(state: TwoPhotonState, theta1: float, theta2s) -> Correlati
     )
 
 
-def correlation_E(state: TwoPhotonState, alpha: float, beta: float) -> float:
-    """Correlation coefficient of the +-1 analyzer outcomes.
-
-    Each analyzer has a transmitted (+) and an orthogonal (-) port, the
-    latter obtained by rotating the angle by pi/2.  E is defined as the
-    standard four-rate combination
-
-        E = (R++ - R+- - R-+ + R--) / (R++ + R+- + R-+ + R--)
-
-    and evaluated as the closed form it reduces to (module docstring).
-    """
-    return _correlation(reductions(state), alpha, beta)
-
-
 def _correlation(red: StateReductions, alpha: float, beta: float) -> float:
+    """Correlation coefficient E of the +-1 analyzer outcomes, each analyzer's
+    (-) port its angle turned by pi/2: the four-rate combination
+    (R++ - R+- - R-+ + R--) / (R++ + R+- + R-+ + R--), in the closed form it
+    reduces to (module docstring)."""
     _require_finite(alpha, beta)
     k = _per_norm(red, 2.0 * red.path_overlap.real)
     two_a, two_b = 2.0 * alpha, 2.0 * beta

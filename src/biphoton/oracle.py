@@ -75,7 +75,8 @@ class DiscreteModeBasis:
 def _squared_norm(a: np.ndarray) -> float:
     # Pieces below OpenBLAS's 10000-entry threading cutoff: thread-independent bits.
     flat = a.reshape(-1)
-    return float(sum(np.vdot(p, p).real for p in np.split(flat, range(8192, flat.size, 8192))))
+    pieces = (flat[k : k + 8192] for k in range(0, flat.size, 8192))
+    return float(sum(np.vdot(p, p).real for p in pieces))
 
 
 def _flat_bins(grid, k_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:

@@ -31,8 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from biphoton import (
+    FilterParams,
     FrequencyGrid,
     JointAmplitude,
+    SpdcParams,
     TwoPhotonState,
     inner_product,
     norm_squared,
@@ -100,6 +102,52 @@ def type2_coherence_time(
 def interference_envelope(tau: float, difference_var: float) -> float:
     """|integral |F|^2 e^{i (y - x) tau}|: the coincidence-feature envelope."""
     return math.exp(-0.5 * difference_var * tau * tau)
+
+
+def type2_continuum(config) -> dict[str, float]:
+    """The classify numbers of a type-II ``config`` with a Gaussian filter,
+    in the continuum, from 2x2 Gaussian algebra.  Q is the intensity
+    precision with the filter, Var = Var(w_V - w_H), Qbar = (Q + PQP)/2 with P
+    the argument swap, e = (1, -1) and d the arm-2 delay:
+
+        <F1, F2> = e^{-i phi} exp(-d^2 Var / 2)
+        <F1, swap F2> = e^{-i phi} sqrt(det Q / det Qbar)
+                        exp(-(t_v - t_h)^2 e^T Qbar^-1 e / 2)
+
+    Then P_cc(0) = 1/2 - Re<F1, F2> / 2, E(a, b) = -cos 2a cos 2b +
+    Re<F1, swap F2> sin 2a sin 2b at the config's angles, and V45 = |<F1, swap F2>|.
+    """
+    fields = {k: v for k, v in config.source.items() if k not in ("type", "filter")}
+    params, filt = SpdcParams(**fields), FilterParams(**config.source["filter"])
+    assert config.source["type"] == "type2_ultrafast" and filt.shape == "gaussian"
+    q = type2_intensity_precision(
+        params.sigma_h, params.sigma_v, params.pump_sigma, filt.fwhm_frequency
+    )
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    q_bar = 0.5 * (q + swap @ q @ swap)
+    e = np.array([1.0, -1.0])
+    phase = np.exp(-1j * params.phi)
+    d = params.extra_group_delay_arm2
+    overlap = phase * math.exp(-0.5 * d * d * difference_variance(q))
+    path_overlap = phase * math.sqrt(np.linalg.det(q) / np.linalg.det(q_bar)) * math.exp(
+        -0.5 * (params.t_v - params.t_h) ** 2 * (e @ np.linalg.solve(q_bar, e))
+    )
+
+    def correlation(x, y):
+        k = path_overlap.real
+        return -math.cos(2 * x) * math.cos(2 * y) + k * math.sin(2 * x) * math.sin(2 * y)
+
+    a, a_prime, b, b_prime = config.analysis.chsh_angles
+    return {
+        "coincidence_at_zero_delay": 0.5 - 0.5 * overlap.real,
+        "chsh_value": abs(
+            correlation(a, b)
+            - correlation(a, b_prime)
+            + correlation(a_prime, b)
+            + correlation(a_prime, b_prime)
+        ),
+        "basis45_visibility": abs(path_overlap),
+    }
 
 
 def make_random_state(

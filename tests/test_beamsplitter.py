@@ -297,7 +297,7 @@ def test_delay_scan_summary_numbers(minus_state):
     assert abs(curve.extremum_delay) <= axis[1] - axis[0]
     assert curve.visibility == pytest.approx(1.0, abs=2e-3)
     assert np.all(np.diff(curve.delays) > 0)
-    assert len(curve.samples) == 121
+    assert curve.delays.shape == curve.rates.shape == (121,)
 
     dip_params = SpdcParams(phi=0.0)
     dip = build_type2_ultrafast(dip_params, default_grid(dip_params))

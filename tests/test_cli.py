@@ -19,7 +19,6 @@ from biphoton import (
     apply_path1_delay,
     coherence_time,
     discretize,
-    require_normalized,
 )
 from biphoton.cli import (
     EXIT_BROKEN_PIPE,
@@ -32,6 +31,7 @@ from biphoton.cli import (
     main,
     parse_config,
 )
+from biphoton.core import reductions
 
 PRESET_NAMES = {
     "bell_ideal",
@@ -372,7 +372,7 @@ def test_classify_and_chsh_on_a_huge_grid_end_promptly_with_the_converged_output
     tmp_path, command, preset
 ):
     # two million points: the N x N amplitudes would take 64 TB, and O(N^2)
-    # sums would take hours; the factored route sums by FFT past 8192 points
+    # sums would take hours; the factored route sums by FFT from 1024 points
     argv = [command, "--config", preset, "--grid-points", "2000000"]
     huge = _cli_run(argv, "1", tmp_path, timeout=30)
     assert huge.returncode == EXIT_OK, huge.stderr
@@ -883,7 +883,7 @@ def test_invariant_error_is_a_value_error_raised_by_the_norm_check():
         JointAmplitude(state.grid, 3.0 * state.f_h1v2.values), state.f_v1h2
     )
     with pytest.raises(InvariantError, match="not normalized"):
-        require_normalized(tripled)
+        reductions(tripled).require_normalized()
     assert issubclass(InvariantError, ValueError)
 
 

@@ -29,7 +29,6 @@ from biphoton import (
     norm_squared,
     normalize,
     rc_integrated,
-    require_normalized,
     wavelength_to_angular_frequency,
 )
 from biphoton.cli import list_presets, load_config, parse_config
@@ -401,7 +400,7 @@ def test_normalize_behavior():
     f2 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     state = TwoPhotonState(JointAmplitude(grid, f1), JointAmplitude(grid, f2))
     unit = normalize(state)
-    require_normalized(unit)
+    reductions(unit).require_normalized()
     assert unit.norm_squared() == pytest.approx(1.0, abs=1e-12)
 
     doubled = TwoPhotonState(
@@ -409,7 +408,7 @@ def test_normalize_behavior():
         JointAmplitude(grid, 2.0 * unit.f_v1h2.values),
     )
     with pytest.raises(InvariantError, match="not normalized"):
-        require_normalized(doubled)
+        reductions(doubled).require_normalized()
     renorm = normalize(doubled)
     np.testing.assert_allclose(renorm.f_h1v2.values, unit.f_h1v2.values, rtol=1e-12)
 
@@ -777,7 +776,7 @@ def test_classify_and_chsh_of_a_built_state_allocate_under_an_eighth_of_an_ampli
 
     n_points = 1024
     config = load_config(name)
-    for observable in (classify, chsh, require_normalized, normalize):
+    for observable in (classify, chsh, reductions, normalize):
         tracemalloc.start()
         try:
             observable(config.build_state(n_points))
@@ -836,9 +835,10 @@ def test_factored_amplitude_validation():
 
 
 @pytest.mark.parametrize("inputs", ["real", "complex", "zero-imaginary"])
-def test_hankel_sum_by_fft_past_the_block_size_matches_the_direct_sum(inputs):
+# 1024: the first length convolved by FFT; 9000: the final sum goes in two pieces
+@pytest.mark.parametrize("n", [1024, 9000])
+def test_hankel_sum_by_fft_past_the_block_size_matches_the_direct_sum(inputs, n, monkeypatch):
     rng = np.random.default_rng(3)
-    n = 9000  # past the 8192 entries up to which the convolution is direct
 
     def vector(size):
         values = rng.uniform(0.0, 1.0, size)
@@ -848,6 +848,7 @@ def test_hankel_sum_by_fft_past_the_block_size_matches_the_direct_sum(inputs):
 
     u, v, weights = vector(n), vector(n), rng.uniform(0.0, 1.0, 2 * n - 1)
     expected = sum(u[i] * np.dot(v, weights[i : i + n]) for i in range(n))
+    monkeypatch.setattr(np, "convolve", None)  # no direct convolution from 1024 points
     got = hankel_sum(weights, u, v)
     # complex dtype with zero imaginary parts takes the real transforms
     assert np.iscomplexobj(got) == (inputs == "complex")

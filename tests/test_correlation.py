@@ -20,7 +20,6 @@ from biphoton import (
     build_type2_ultrafast,
     chsh,
     classify,
-    correlation_E,
     correlation_scan,
     default_grid,
     fringe_visibility_45,
@@ -30,6 +29,8 @@ from biphoton import (
     rc_integrated,
 )
 from biphoton.cli import list_presets, load_config
+from biphoton.core import reductions
+from biphoton.correlation import _correlation
 
 CENTER = 2.0 * math.pi * support.SPEED_OF_LIGHT / 780e-9
 
@@ -123,14 +124,14 @@ def test_correlation_coefficient_closed_form(seed):
     expected = -math.cos(2 * a) * math.cos(2 * b) + k * math.sin(2 * a) * math.sin(
         2 * b
     )
-    assert correlation_E(state, a, b) == pytest.approx(expected, abs=1e-12)
+    assert _correlation(reductions(state), a, b) == pytest.approx(expected, abs=1e-12)
 
 
 def test_perfect_anticorrelation_at_zero_analyzer_angle(walkoff_state, bell_state):
     rng = np.random.default_rng(17)
     random_state = support.make_random_state(rng, n_points=16)
     for state in (walkoff_state, bell_state, random_state):
-        assert correlation_E(state, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+        assert _correlation(reductions(state), 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlation_scan_on_bell_state(bell_state):
@@ -218,7 +219,8 @@ def test_chsh_with_all_angles_equal_measures_anticorrelation(
     # S collapses to |E - E + E + E| = 2|E(a, a)|
     for state in (bell_state, walkoff_state):
         s = chsh(state, (0.0, 0.0, 0.0, 0.0))
-        assert s == pytest.approx(2.0 * abs(correlation_E(state, 0.0, 0.0)), abs=1e-12)
+        e = _correlation(reductions(state), 0.0, 0.0)
+        assert s == pytest.approx(2.0 * abs(e), abs=1e-12)
     assert chsh(bell_state, (0.3, 0.3, 0.3, 0.3)) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -264,8 +266,8 @@ def test_non_finite_analyzer_angles_are_rejected(bell_state, bad):
     calls = (
         lambda: rc_integrated(bell_state, bad, 0.0),
         lambda: rc_integrated(bell_state, 0.0, bad),
-        lambda: correlation_E(bell_state, bad, 0.3),
-        lambda: correlation_E(bell_state, 0.3, bad),
+        lambda: _correlation(reductions(bell_state), bad, 0.3),
+        lambda: _correlation(reductions(bell_state), 0.3, bad),
         lambda: chsh(bell_state, (bad, 0.0, 0.3, 0.5)),
         lambda: chsh(bell_state, (0.0, 0.2, 0.3, bad)),
         lambda: correlation_scan(bell_state, bad, np.linspace(0.0, math.pi, 13)),
@@ -286,7 +288,7 @@ def _assert_matches_direct_quadrature(state, rng):
                 support.direct_rc_integrated(state, t1, t2), abs=tol
             )
     alpha, beta = rng.uniform(-math.pi, math.pi, size=2)
-    assert correlation_E(state, alpha, beta) == pytest.approx(
+    assert _correlation(reductions(state), alpha, beta) == pytest.approx(
         support.direct_correlation_E(state, alpha, beta), abs=tol
     )
     random_angles = tuple(rng.uniform(-math.pi, math.pi, size=4))

@@ -162,3 +162,53 @@ def test_oracle_shares_no_code_with_the_quadrature_path():
         "coincidence_probability",
     }
     assert named & quadrature == set()
+
+
+def stored_form_names(source: str) -> set[str]:
+    """The names in ``source`` that read or build how an amplitude is stored:
+    as a name, an attribute, a keyword, a definition or an imported name."""
+    form = {
+        "factors",
+        "samples",
+        "block_sizes",
+        "Factors",
+        "hankel_sum",
+        "_factored_vectors",
+        "_factored_inner",
+        "_sampled",
+    }
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.keyword, ast.arg)):
+            named.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named.add(node.name)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    return named & form
+
+
+@pytest.mark.parametrize("module", ["beamsplitter", "correlation", "symmetry", "cli"])
+def test_only_core_reads_how_an_amplitude_is_stored(module):
+    """Values, block-constant samples or 1D factors: the analysis modules and
+    the CLI go through ``core``'s quadratures and ``core._scaled``, so a
+    change of storage form stays inside ``core``.  The builders in
+    ``sources`` and the independent oracle are left out on purpose."""
+    path = ROOT / "src" / "biphoton" / f"{module}.py"
+    assert stored_form_names(path.read_text(encoding="utf-8")) == set()
+
+
+def test_stored_form_detection():
+    source = (
+        "from .core import Factors, inner_product\n"
+        "def f(amp, scale):\n"
+        "    x = amp.factors.x * scale  # factors in a comment do not count\n"
+        "    return JointAmplitude(amp.grid, factors=Factors(x, x, x))\n"
+        "def samples(block_sizes):\n"
+        "    return inner_product(block_sizes, 'samples')\n"
+    )
+    assert stored_form_names(source) == {"Factors", "factors", "samples", "block_sizes"}

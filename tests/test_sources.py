@@ -22,11 +22,11 @@ from biphoton import (
     coherence_time,
     default_grid,
     gaussian_line,
-    require_normalized,
     type2_joint_envelope,
     wavelength_to_angular_frequency,
 )
 from biphoton import sources
+from biphoton.core import reductions
 from biphoton.sources import TWO_COLOR_CASES
 
 CENTER = wavelength_to_angular_frequency(780e-9)
@@ -135,7 +135,7 @@ def test_build_type2_symmetric_limit_equals_exchange_antisymmetric():
 def test_build_type2_default_is_exchange_antisymmetric_but_far_from_bell():
     p = SpdcParams()
     state = build_type2_ultrafast(p, default_grid(p))
-    require_normalized(state)
+    reductions(state).require_normalized()
     # identical propagation in both terms: exchange antisymmetry survives
     # any walk-off, so the coincidence peak is perfect
     assert as_residual(state) < 1e-6
@@ -179,7 +179,7 @@ def test_build_antisymmetric_is_bitwise_antisymmetric():
     p = SpdcParams(t_v=0.0)
     grid = default_grid(p)
     state = build_antisymmetric(type2_joint_envelope(p, grid))
-    require_normalized(state)
+    reductions(state).require_normalized()
     np.testing.assert_array_equal(state.f_v1h2.values, -state.f_h1v2.values)
     zero = JointAmplitude(grid, np.zeros((grid.n_points, grid.n_points)))
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_build_bell_psi_minus_structure():
     g1 = gaussian_line(grid, CENTER + 2e13, 2.5e13)
     g2 = gaussian_line(grid, CENTER - 2e13, 2.5e13)
     state = build_bell_psi_minus(g1, g2, grid)
-    require_normalized(state)
+    reductions(state).require_normalized()
     # singlet condition under spectral exchange, exact by construction
     np.testing.assert_array_equal(state.f_v1h2.values, -state.f_h1v2.values.T)
     assert bell_residual(state) < 1e-12
@@ -294,7 +294,7 @@ def test_gaussian_filter_narrows_the_difference_spread():
     state = build_type2_ultrafast(p, grid)
     filt = FilterParams(center_wavelength=780e-9, fwhm=20e-9, shape="gaussian")
     filtered = build_type2_ultrafast(p, grid, filt)
-    require_normalized(filtered)
+    reductions(filtered).require_normalized()
     # frozen oracle: closed-form Gaussian moments before and after the filter
     tc_before = support.type2_coherence_time(p.sigma_h, p.sigma_v, p.pump_sigma)
     tc_after = support.type2_coherence_time(
@@ -388,7 +388,7 @@ def test_factored_type2_build_matches_the_direct_formula(phi, delay, filter_name
     filt = _FILTERS[filter_name]
     built = build_type2_ultrafast(p, grid, filt)
     direct = support.direct_type2_state(p, grid, filt)
-    require_normalized(built)
+    reductions(built).require_normalized()
     for ours, reference in ((built.f_h1v2, direct.f_h1v2), (built.f_v1h2, direct.f_v1h2)):
         assert _peak_relative_error(ours.values, reference.values) <= 1e-12
     if filt is not None:
@@ -405,7 +405,7 @@ def test_factored_antisymmetric_build_matches_the_direct_formula(filter_name, n_
     filt = _FILTERS[filter_name]
     built = build_type2_ultrafast(p, grid, filt, antisymmetric=True)
     direct = support.direct_type2_state(p, grid, filt, antisymmetric=True)
-    require_normalized(built)
+    reductions(built).require_normalized()
     assert _peak_relative_error(built.f_h1v2.values, direct.f_h1v2.values) <= 1e-12
     np.testing.assert_array_equal(built.f_v1h2.values, -built.f_h1v2.values)
     # the library's own two-step route builds the same state

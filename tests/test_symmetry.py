@@ -186,3 +186,18 @@ def test_classify_reports_the_library_coincidence_probability(preset, n_points):
     # both take P_cc(0) from the same quadratures and the same closed form
     state = load_config(preset).build_state(n_points)
     assert classify(state).coincidence_at_zero_delay == coincidence_probability(state, 0.0)
+
+
+@pytest.mark.parametrize("preset", ["uncompensated_peak", "uncompensated_dip"])
+def test_classify_of_the_type2_presets_matches_the_continuum(preset):
+    # the three numbers behind the paper's claims, against Gaussian algebra
+    # that shares no code with the library's quadratures
+    config = load_config(preset)
+    analysis = config.analysis
+    report = classify(
+        config.build_state(256),
+        threshold=analysis.classification_threshold,
+        chsh_angles=analysis.chsh_angles,
+    )
+    for name, expected in support.type2_continuum(config).items():
+        assert getattr(report, name) == pytest.approx(expected, rel=0.0, abs=1e-12), name
